@@ -114,7 +114,9 @@ void register_all() {
         m.load_program(CpuId::kCpu1, app_b.program);
         // Measure over the fully-overlapped window (first finisher), like
         // the stream pair experiments; CPI of app A is the victim metric.
-        m.run_until_any_done();
+        const cpu::RunResult run =
+            m.try_run(cpu::kDefaultMaxCycles, cpu::StopWhen::kAnyDone);
+        SMT_CHECK_MSG(run.ok(), run.message.c_str());
         Results::instance().put(k, stats_from(m, k, /*verified=*/true));
         Results::instance().put_value(
             k, static_cast<double>(

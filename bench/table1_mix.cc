@@ -33,7 +33,7 @@ template <typename W>
 Column profile_workload(W& w, CpuId view, const std::string& key) {
   core::Machine m{core::MachineConfig{}};
   MixProfiler prof;
-  m.core().set_retire_observer(&prof);
+  m.core().attach(&prof);
   w.setup(m);
   auto progs = w.programs();
   for (size_t i = 0; i < progs.size(); ++i) {

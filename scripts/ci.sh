@@ -195,12 +195,34 @@ grep -q '"schema":"smt-run-report/4"' "$inter_dir"/*.json
 inter_report=$(ls "$inter_dir"/*.json | head -1)
 ./build/tools/report_diff "$inter_report" "$inter_report"
 
+# Every observer at once: telemetry, the per-PC and interference
+# profilers and the pipeline recorder share one ablation_sync run through
+# the core's observer bus. The reports must validate, and their counters
+# must equal a plain run's exactly: report_diff at zero tolerance compares
+# cycles, every counter, the cycle accounting and the totals (the profile
+# and interference sections have no plain counterpart to diff against).
+all_dir=$(mktemp -d)
+trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir" "$sweep_dir" \
+  "$obs_dir" "$hist_dir" "$inter_dir" "$all_dir"' EXIT
+SMT_BENCH_REPORT_DIR="$all_dir/plain" ./build/bench/ablation_sync > /dev/null
+SMT_BENCH_REPORT_DIR="$all_dir/all" SMT_BENCH_TRACE_DIR="$all_dir/traces" \
+  SMT_BENCH_PROFILE=1 SMT_BENCH_INTERFERENCE=1 SMT_BENCH_PIPEVIEW=1 \
+  ./build/bench/ablation_sync > /dev/null
+grep -q '"schema":"smt-run-report/4"' "$all_dir"/all/*.json
+./build/tools/check_reports "$all_dir/all" "$all_dir/traces"
+test "$(ls "$all_dir"/all/*.kanata | wc -l)" -eq \
+  "$(ls "$all_dir"/plain/*.json | wc -l)"
+for plain in "$all_dir"/plain/*.json; do
+  ./build/tools/report_diff --rel-tol 0 --abs-tol 0 "$plain" \
+    "$all_dir/all/$(basename "$plain")"
+done
+
 # Pipeline lifetime traces: a pipeview'd fig3 matmul run must drop a
 # non-empty, window-bounded Kanata file beside each report (the C/C=
 # cycle advances must sum to no more than the configured window).
 pview_dir=$(mktemp -d)
 trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir" "$sweep_dir" \
-  "$obs_dir" "$hist_dir" "$inter_dir" "$pview_dir"' EXIT
+  "$obs_dir" "$hist_dir" "$inter_dir" "$all_dir" "$pview_dir"' EXIT
 SMT_BENCH_REPORT_DIR="$pview_dir" SMT_BENCH_PIPEVIEW=1 \
   SMT_BENCH_PIPEVIEW_WINDOW=0:20000 \
   ./build/bench/fig3_matmul > /dev/null
@@ -220,8 +242,8 @@ awk -F'\t' '/^C=/{start=$2} /^C\t/{adv+=$2}
 # reports would all surface here.
 cache_dir=$(mktemp -d)
 trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir" "$sweep_dir" \
-  "$obs_dir" "$hist_dir" "$inter_dir" "$pview_dir" "$explain_dir" \
-  "$cache_dir"' EXIT
+  "$obs_dir" "$hist_dir" "$inter_dir" "$all_dir" "$pview_dir" \
+  "$explain_dir" "$cache_dir"' EXIT
 ./build/tools/smt_sweep --quiet --out "$cache_dir/cold" \
   --cache "$cache_dir/store" \
   --metrics "$cache_dir/cold/metrics.json" > /dev/null
@@ -257,7 +279,8 @@ grep -q '"cache.verify_failed":0' "$cache_dir/audit/metrics.json"
 # actual death cycle and the lost wake-up.
 explain_dir=$(mktemp -d)
 trap 'rm -rf "$report_dir" "$trace_dir" "$profile_dir" "$sweep_dir" \
-  "$obs_dir" "$hist_dir" "$inter_dir" "$pview_dir" "$explain_dir"' EXIT
+  "$obs_dir" "$hist_dir" "$inter_dir" "$all_dir" "$pview_dir" \
+  "$explain_dir"' EXIT
 ./build/tools/smt_sweep --quiet --out "$explain_dir" selftest.deadlock \
   || true
 dump="$explain_dir/dumps/selftest.deadlock.dump.json"

@@ -8,7 +8,7 @@ namespace smt::analysis {
 
 using cpu::GuestAccess;
 
-void RaceDetector::set_program(CpuId cpu, const isa::Program& p) {
+void RaceDetector::on_program(CpuId cpu, const isa::Program& p) {
   progs_[idx(cpu)] = p;
   for (const isa::LockOp& op : p.lock_ops()) add_sync_word(op.addr);
 }
@@ -91,8 +91,8 @@ void RaceDetector::report_race(int first_tid, uint32_t first_pc,
 }
 
 void RaceDetector::on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
-                                   GuestAccess kind, uint64_t value) {
-  (void)value;  // carried for observers that want it; HB needs only order
+                                   GuestAccess kind, uint64_t /*value*/,
+                                   Cycle /*now*/) {
   const int t = idx(cpu);
   const int u = 1 - t;
 
@@ -138,7 +138,7 @@ void RaceDetector::on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
   }
 }
 
-void RaceDetector::on_ipi_send(CpuId cpu) {
+void RaceDetector::on_ipi_send(CpuId cpu, Cycle /*now*/) {
   const int t = idx(cpu);
   // Release into the sibling's wake channel: the IPI carries everything
   // the sender did before it.
@@ -146,7 +146,7 @@ void RaceDetector::on_ipi_send(CpuId cpu) {
   ++clock_[t].c[t];
 }
 
-void RaceDetector::on_ipi_wake(CpuId cpu) {
+void RaceDetector::on_ipi_wake(CpuId cpu, Cycle /*now*/) {
   const int t = idx(cpu);
   clock_[t].join(ipi_channel_[t]);  // acquire the wake-up edge
 }

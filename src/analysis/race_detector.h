@@ -1,5 +1,5 @@
 // Dynamic happens-before race detector for guest programs, attached to
-// the core as a cpu::PipelineObserver.
+// the core's observer bus as a cpu::Observer.
 //
 // The simulator executes guest instructions functionally at fetch time on
 // one host thread, so the on_guest_access callback sequence is an exact
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "cpu/core.h"
+#include "cpu/observer.h"
 #include "isa/program.h"
 
 namespace smt::analysis {
@@ -64,14 +64,10 @@ struct ExtentViolation {
   Addr addr = 0;
 };
 
-class RaceDetector final : public cpu::PipelineObserver {
+class RaceDetector final : public cpu::Observer {
  public:
   /// Distinct race reports kept verbatim (further races only count).
   static constexpr size_t kMaxReports = 32;
-
-  /// Registers the program bound to `cpu` (for disassembly in reports);
-  /// the program's annotated lock words become sync words.
-  void set_program(CpuId cpu, const isa::Program& p);
 
   /// Declares the 8-byte word at `a` a synchronization word.
   void add_sync_word(Addr a) { sync_words_.insert(a); }
@@ -83,15 +79,18 @@ class RaceDetector final : public cpu::PipelineObserver {
   /// dynamic out-of-extent check.
   void set_extents_complete(bool complete) { extents_complete_ = complete; }
 
-  // --- cpu::PipelineObserver ---------------------------------------------
-  void on_issue(CpuId, cpu::IssuePort, uint32_t) override {}
-  void on_block(CpuId, cpu::BlockReason, uint32_t, Cycle) override {}
-  void on_demand_miss(CpuId, uint32_t, bool) override {}
-  void on_retire_uop(CpuId, const cpu::DynUop&, int) override {}
+  // --- cpu::Observer -----------------------------------------------------
+  uint32_t interests() const override {
+    return kProgram | kGuestAccess | kIpiSend | kIpiWake;
+  }
+  /// Registers the program bound to `cpu` (for disassembly in reports);
+  /// the program's annotated lock words become sync words.
+  void on_program(CpuId cpu, const isa::Program& p) override;
   void on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
-                       cpu::GuestAccess kind, uint64_t value) override;
-  void on_ipi_send(CpuId cpu) override;
-  void on_ipi_wake(CpuId cpu) override;
+                       cpu::GuestAccess kind, uint64_t value,
+                       Cycle now) override;
+  void on_ipi_send(CpuId cpu, Cycle now) override;
+  void on_ipi_wake(CpuId cpu, Cycle now) override;
 
   // --- results -----------------------------------------------------------
   const std::vector<RaceReport>& races() const { return races_; }

@@ -10,10 +10,11 @@
 // RunOutcome — the input of the `smt_explain` diagnosis CLI.
 //
 // Like every observer in this codebase it is pure: it only reads
-// simulation state from retire-time hooks, never touches a counter, and
-// skips the per-cycle issue-block scan entirely (wants_issue_blocks() is
-// false), so a flight-recorded run is counter-bit-identical to a bare one
-// and the dump for a given (workload, config) is byte-deterministic.
+// simulation state from the on_retire event, never touches a counter, and
+// its interest mask leaves out on_stall, so it never turns on the
+// per-cycle issue-block scan. A flight-recorded run is counter-bit-
+// identical to a bare one and the dump for a given (workload, config) is
+// byte-deterministic.
 #pragma once
 
 #include <array>
@@ -28,7 +29,7 @@ namespace smt::core {
 class Machine;
 struct MemInfo;
 
-class FlightRecorder : public cpu::PipelineObserver {
+class FlightRecorder final : public cpu::Observer {
  public:
   /// Retired-instruction ring depth per CPU.
   static constexpr int kRingSize = 64;
@@ -39,20 +40,15 @@ class FlightRecorder : public cpu::PipelineObserver {
 
   explicit FlightRecorder(const cpu::Core& core) : core_(core) {}
 
+  uint32_t interests() const override { return kProgram | kRetire; }
   /// Registers the program bound to `cpu` for disassembly and
   /// spin-region (wait-for edge) lookups.
-  void set_program(CpuId cpu, const isa::Program& prog) {
+  void on_program(CpuId cpu, const isa::Program& prog) override {
     progs_[idx(cpu)] = &prog;
   }
   const isa::Program* program(CpuId cpu) const { return progs_[idx(cpu)]; }
-
-  // Only retirement is consumed; everything else is a no-op, and the
-  // issue-block scan is skipped entirely for flight-recorder-only runs.
-  void on_issue(CpuId, cpu::IssuePort, uint32_t) override {}
-  void on_block(CpuId, cpu::BlockReason, uint32_t, Cycle) override {}
-  void on_demand_miss(CpuId, uint32_t, bool) override {}
-  void on_retire_uop(CpuId cpu, const cpu::DynUop& uop, int uops) override;
-  bool wants_issue_blocks() const override { return false; }
+  void on_retire(CpuId cpu, const cpu::DynUop& uop, int uops,
+                 Cycle now) override;
 
   struct RetiredEntry {
     Cycle cycle = 0;

@@ -24,30 +24,21 @@ void Machine::enable_telemetry(const trace::TelemetryConfig& cfg) {
   SMT_CHECK_MSG(telemetry_ == nullptr, "telemetry already enabled");
   telemetry_ =
       std::make_shared<trace::Telemetry>(cfg, counters_, core_.now());
-  core_.set_telemetry(&telemetry_->recorder(), &telemetry_->sampler());
+  core_.attach(&telemetry_->sampler());
+  core_.attach(&telemetry_->recorder());
   if (cfg.pc_profile && pc_profiler_ == nullptr) enable_pc_profiler();
 }
 
 void Machine::enable_pc_profiler() {
   SMT_CHECK_MSG(pc_profiler_ == nullptr, "pc profiler already enabled");
   pc_profiler_ = std::make_shared<profile::PcProfiler>();
-  for (int i = 0; i < kNumLogicalCpus; ++i) {
-    if (programs_[i].has_value()) {
-      pc_profiler_->set_program(static_cast<CpuId>(i), *programs_[i]);
-    }
-  }
-  attach_pipeline_observers();
+  core_.attach(pc_profiler_.get());
 }
 
 void Machine::enable_race_detector() {
   SMT_CHECK_MSG(race_detector_ == nullptr, "race detector already enabled");
   race_detector_ = std::make_shared<analysis::RaceDetector>();
-  for (int i = 0; i < kNumLogicalCpus; ++i) {
-    if (programs_[i].has_value()) {
-      race_detector_->set_program(static_cast<CpuId>(i), *programs_[i]);
-    }
-  }
-  attach_pipeline_observers();
+  core_.attach(race_detector_.get());
 }
 
 void Machine::enable_interference() {
@@ -55,7 +46,7 @@ void Machine::enable_interference() {
                 "interference profiler already enabled");
   interference_ = std::make_shared<profile::InterferenceProfiler>();
   hierarchy_.set_track_interference(true);
-  attach_pipeline_observers();
+  core_.attach(interference_.get());
 }
 
 void Machine::finalize_interference() const {
@@ -70,96 +61,14 @@ void Machine::finalize_interference() const {
 void Machine::enable_pipeview(const trace::PipeViewConfig& cfg) {
   SMT_CHECK_MSG(pipeview_ == nullptr, "pipeview recorder already enabled");
   pipeview_ = std::make_shared<trace::PipeViewRecorder>(cfg);
-  for (int i = 0; i < kNumLogicalCpus; ++i) {
-    if (programs_[i].has_value()) {
-      pipeview_->set_program(static_cast<CpuId>(i), *programs_[i]);
-    }
-  }
-  core_.set_pipeview(pipeview_.get());
+  core_.attach(pipeview_.get());
 }
 
 void Machine::enable_flight_recorder() {
   SMT_CHECK_MSG(flight_recorder_ == nullptr,
                 "flight recorder already enabled");
   flight_recorder_ = std::make_shared<FlightRecorder>(core_);
-  for (int i = 0; i < kNumLogicalCpus; ++i) {
-    if (programs_[i].has_value()) {
-      flight_recorder_->set_program(static_cast<CpuId>(i), *programs_[i]);
-    }
-  }
-  attach_pipeline_observers();
-}
-
-void Machine::attach_pipeline_observers() {
-  tee_.children.clear();
-  if (pc_profiler_ != nullptr) tee_.children.push_back(pc_profiler_.get());
-  if (race_detector_ != nullptr) tee_.children.push_back(race_detector_.get());
-  if (interference_ != nullptr) tee_.children.push_back(interference_.get());
-  if (flight_recorder_ != nullptr) {
-    tee_.children.push_back(flight_recorder_.get());
-  }
-  if (tee_.children.empty()) {
-    core_.set_pipeline_observer(nullptr);
-  } else if (tee_.children.size() == 1) {
-    core_.set_pipeline_observer(tee_.children.front());
-  } else {
-    core_.set_pipeline_observer(&tee_);
-  }
-}
-
-void Machine::ObserverTee::on_issue(CpuId cpu, cpu::IssuePort port,
-                                    uint32_t pc) {
-  for (cpu::PipelineObserver* c : children) c->on_issue(cpu, port, pc);
-}
-
-void Machine::ObserverTee::on_block(CpuId cpu, cpu::BlockReason reason,
-                                    uint32_t pc, Cycle cycles) {
-  for (cpu::PipelineObserver* c : children) {
-    c->on_block(cpu, reason, pc, cycles);
-  }
-}
-
-void Machine::ObserverTee::on_interference(CpuId cpu, cpu::BlockReason reason,
-                                           bool sibling, int port,
-                                           Cycle cycles) {
-  for (cpu::PipelineObserver* c : children) {
-    c->on_interference(cpu, reason, sibling, port, cycles);
-  }
-}
-
-bool Machine::ObserverTee::wants_issue_blocks() const {
-  for (const cpu::PipelineObserver* c : children) {
-    if (c->wants_issue_blocks()) return true;
-  }
-  return false;
-}
-
-void Machine::ObserverTee::on_demand_miss(CpuId cpu, uint32_t pc,
-                                          bool l2_miss) {
-  for (cpu::PipelineObserver* c : children) {
-    c->on_demand_miss(cpu, pc, l2_miss);
-  }
-}
-
-void Machine::ObserverTee::on_retire_uop(CpuId cpu, const cpu::DynUop& uop,
-                                         int uops) {
-  for (cpu::PipelineObserver* c : children) c->on_retire_uop(cpu, uop, uops);
-}
-
-void Machine::ObserverTee::on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
-                                           cpu::GuestAccess kind,
-                                           uint64_t value) {
-  for (cpu::PipelineObserver* c : children) {
-    c->on_guest_access(cpu, pc, addr, kind, value);
-  }
-}
-
-void Machine::ObserverTee::on_ipi_send(CpuId cpu) {
-  for (cpu::PipelineObserver* c : children) c->on_ipi_send(cpu);
-}
-
-void Machine::ObserverTee::on_ipi_wake(CpuId cpu) {
-  for (cpu::PipelineObserver* c : children) c->on_ipi_wake(cpu);
+  core_.attach(flight_recorder_.get());
 }
 
 void Machine::load_program(CpuId cpu, isa::Program prog,
@@ -168,10 +77,6 @@ void Machine::load_program(CpuId cpu, isa::Program prog,
   SMT_CHECK_MSG(!slot.has_value(), "logical CPU already has a program");
   slot.emplace(std::move(prog));
   core_.load_program(cpu, *slot, init);
-  if (pc_profiler_ != nullptr) pc_profiler_->set_program(cpu, *slot);
-  if (race_detector_ != nullptr) race_detector_->set_program(cpu, *slot);
-  if (pipeview_ != nullptr) pipeview_->set_program(cpu, *slot);
-  if (flight_recorder_ != nullptr) flight_recorder_->set_program(cpu, *slot);
 }
 
 }  // namespace smt::core

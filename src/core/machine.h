@@ -6,13 +6,20 @@
 //   m.load_program(CpuId::kCpu0, program);     // bind to a logical CPU
 //   m.run();
 //   uint64_t misses = m.counters().get(CpuId::kCpu0, Event::kL2Misses);
+//
+// The instruments (telemetry, profilers, race detector, pipeline trace,
+// flight recorder) are enabled per machine, before running; each enable_*
+// attaches its observer to the core's observer bus (cpu/observer.h), beside
+// any other, and never perturbs a counter. Nothing is attached unless
+// enabled. Each accessor below returns null when its instrument is
+// disabled; instruments are shared so RunStats can carry them past the
+// machine's lifetime.
 #pragma once
 
 #include <array>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "analysis/race_detector.h"
 #include "common/types.h"
@@ -53,51 +60,36 @@ class Machine {
   /// Attaches time-resolved telemetry (counter time-series + event
   /// timeline; see src/trace/telemetry.h). The constructor calls this
   /// automatically when the process-global default is enabled (bench
-  /// binaries with SMT_BENCH_TRACE_DIR set). Call before running;
-  /// enabling never perturbs any counter.
+  /// binaries with SMT_BENCH_TRACE_DIR set).
   void enable_telemetry(const trace::TelemetryConfig& cfg);
-
-  /// The attached telemetry (null when disabled). Shared so RunStats can
-  /// carry it past this machine's lifetime.
   const std::shared_ptr<trace::Telemetry>& telemetry() const {
     return telemetry_;
   }
 
-  /// Attaches the per-PC attribution profiler (read-only pipeline
-  /// observer; see src/profile/pc_profiler.h). The constructor calls this
-  /// automatically when the process-global telemetry default has
-  /// pc_profile set (bench binaries with SMT_BENCH_PROFILE=1). Call
-  /// before running; enabling never perturbs any counter.
+  /// Attaches the per-PC attribution profiler (see
+  /// src/profile/pc_profiler.h). The constructor calls this automatically
+  /// when the process-global telemetry default has pc_profile set (bench
+  /// binaries with SMT_BENCH_PROFILE=1).
   void enable_pc_profiler();
-
-  /// The attached profiler (null when disabled). Shared so RunStats can
-  /// carry it past this machine's lifetime.
   const std::shared_ptr<profile::PcProfiler>& pc_profiler() const {
     return pc_profiler_;
   }
 
-  /// Attaches the happens-before race detector (read-only pipeline
-  /// observer; see src/analysis/race_detector.h). Call before running;
-  /// enabling never perturbs any counter. Coexists with the per-PC
-  /// profiler (both observers are fanned out). Sync words and extents are
-  /// configured by the caller (core::try_run_workload feeds it the
-  /// workload's MemInfo); lock words are picked up automatically from
-  /// each loaded program's annotations.
+  /// Attaches the happens-before race detector (see
+  /// src/analysis/race_detector.h). Sync words and extents are configured
+  /// by the caller (core::try_run_workload feeds it the workload's
+  /// MemInfo); lock words are picked up automatically from each loaded
+  /// program's annotations.
   void enable_race_detector();
-
-  /// The attached race detector (null when disabled). Shared so RunStats
-  /// can carry it past this machine's lifetime.
   const std::shared_ptr<analysis::RaceDetector>& race_detector() const {
     return race_detector_;
   }
 
-  /// Attaches the SMT interference profiler (read-only pipeline observer;
-  /// see src/profile/interference.h) and turns on the hierarchy's L2
-  /// eviction bookkeeping. The constructor calls this automatically when
-  /// the process-global telemetry default has `interference` set (bench
-  /// binaries with SMT_BENCH_INTERFERENCE=1). Call before running;
-  /// enabling never perturbs any counter. Coexists with every other
-  /// observer (fanned out through the tee).
+  /// Attaches the SMT interference profiler (see
+  /// src/profile/interference.h) and turns on the hierarchy's L2 eviction
+  /// bookkeeping. The constructor calls this automatically when the
+  /// process-global telemetry default has `interference` set (bench
+  /// binaries with SMT_BENCH_INTERFERENCE=1).
   void enable_interference();
 
   /// Copies the hierarchy's L2 sibling-eviction counts into the
@@ -106,9 +98,6 @@ class Machine {
   /// Const: it only updates the shared profiler object, never the
   /// machine itself (report_from_machine works on a const Machine&).
   void finalize_interference() const;
-
-  /// The attached interference profiler (null when disabled). Shared so
-  /// RunStats can carry it past this machine's lifetime.
   const std::shared_ptr<profile::InterferenceProfiler>& interference() const {
     return interference_;
   }
@@ -116,22 +105,16 @@ class Machine {
   /// Attaches the pipeline-lifetime (Kanata) recorder; see
   /// src/trace/pipeview.h. The constructor calls this automatically when
   /// the process-global telemetry default has `pipeview` set (bench
-  /// binaries with SMT_BENCH_PIPEVIEW=1). Call before running; recording
-  /// never perturbs any counter.
+  /// binaries with SMT_BENCH_PIPEVIEW=1).
   void enable_pipeview(const trace::PipeViewConfig& cfg);
-
-  /// The attached pipeline-lifetime recorder (null when disabled).
   const std::shared_ptr<trace::PipeViewRecorder>& pipeview() const {
     return pipeview_;
   }
 
-  /// Attaches the post-mortem flight recorder (read-only pipeline
-  /// observer; see src/core/flight_recorder.h). Call before running;
-  /// enabling never perturbs any counter — it skips the issue-block scan
-  /// entirely unless another attached observer wants it.
+  /// Attaches the post-mortem flight recorder (see
+  /// src/core/flight_recorder.h). It does not consume on_stall, so on its
+  /// own it leaves the issue-block scan off.
   void enable_flight_recorder();
-
-  /// The attached flight recorder (null when disabled).
   const std::shared_ptr<FlightRecorder>& flight_recorder() const {
     return flight_recorder_;
   }
@@ -142,53 +125,28 @@ class Machine {
   void load_program(CpuId cpu, isa::Program prog,
                     const cpu::ArchState& init = {});
 
-  void run(Cycle max_cycles = 4'000'000'000ull) { core_.run(max_cycles); }
+  void run(Cycle max_cycles = cpu::kDefaultMaxCycles) {
+    core_.run(max_cycles);
+  }
   /// Non-aborting run: deadlock / exhausted cycle budget / host
   /// cancellation come back as a structured cpu::RunResult instead of an
   /// SMT_CHECK abort; the machine stays inspectable (counters, cycles,
   /// memory reflect the partial run). run() above keeps the legacy
-  /// crash-on-deadlock contract.
-  cpu::RunResult try_run(Cycle max_cycles = 4'000'000'000ull) {
-    return core_.try_run(max_cycles);
+  /// crash-on-deadlock contract. StopWhen::kAnyDone stops at the first
+  /// exiting context (see cpu::Core::try_run).
+  cpu::RunResult try_run(Cycle max_cycles = cpu::kDefaultMaxCycles,
+                         cpu::StopWhen stop = cpu::StopWhen::kAllDone) {
+    return core_.try_run(max_cycles, stop);
   }
   /// Installs the cancellation predicate try_run polls (the sweep job
   /// pool's wall-clock watchdog); see cpu::Core::set_cancel_check.
   void set_cancel_check(std::function<bool()> cancel) {
     core_.set_cancel_check(std::move(cancel));
   }
-  CpuId run_until_any_done(Cycle max_cycles = 4'000'000'000ull) {
-    return core_.run_until_any_done(max_cycles);
-  }
 
   Cycle cycles() const { return core_.now(); }
 
  private:
-  /// Fans the single cpu::Core observer slot out to every enabled
-  /// observer (per-PC profiler, race detector, interference profiler,
-  /// flight recorder). Raw pointers back into the owning Machine's
-  /// shared_ptrs.
-  struct ObserverTee final : cpu::PipelineObserver {
-    std::vector<cpu::PipelineObserver*> children;
-
-    void on_issue(CpuId cpu, cpu::IssuePort port, uint32_t pc) override;
-    void on_block(CpuId cpu, cpu::BlockReason reason, uint32_t pc,
-                  Cycle cycles) override;
-    void on_interference(CpuId cpu, cpu::BlockReason reason, bool sibling,
-                         int port, Cycle cycles) override;
-    bool wants_issue_blocks() const override;
-    void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss) override;
-    void on_retire_uop(CpuId cpu, const cpu::DynUop& uop,
-                       int uops) override;
-    void on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
-                         cpu::GuestAccess kind, uint64_t value) override;
-    void on_ipi_send(CpuId cpu) override;
-    void on_ipi_wake(CpuId cpu) override;
-  };
-
-  /// Points core_ at the single enabled observer, or at the tee over all
-  /// of them (null when none is enabled).
-  void attach_pipeline_observers();
-
   MachineConfig cfg_;
   mem::SimMemory memory_;
   mem::CacheHierarchy hierarchy_;
@@ -199,7 +157,6 @@ class Machine {
   std::shared_ptr<profile::InterferenceProfiler> interference_;
   std::shared_ptr<trace::PipeViewRecorder> pipeview_;
   std::shared_ptr<FlightRecorder> flight_recorder_;
-  ObserverTee tee_;
   cpu::Core core_;
   std::array<std::optional<isa::Program>, kNumLogicalCpus> programs_;
 };

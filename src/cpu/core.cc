@@ -4,48 +4,12 @@
 #include <limits>
 
 #include "common/check.h"
-#include "trace/pipeview.h"
-#include "trace/recorder.h"
-#include "trace/sampler.h"
 
 namespace smt::cpu {
 
 using isa::Opcode;
 using isa::UnitClass;
 using perfmon::Event;
-
-const char* name(IssuePort p) {
-  switch (p) {
-    case IssuePort::kAlu0:   return "alu0";
-    case IssuePort::kAlu1:   return "alu1";
-    case IssuePort::kFp:     return "fp";
-    case IssuePort::kFpMove: return "fp_move";
-    case IssuePort::kLoad:   return "load";
-    case IssuePort::kStore:  return "store";
-  }
-  return "?";
-}
-
-const char* name(BlockReason r) {
-  switch (r) {
-    case BlockReason::kStoreBuffer:  return "store_buffer";
-    case BlockReason::kRob:          return "rob";
-    case BlockReason::kLoadQueue:    return "load_queue";
-    case BlockReason::kUopQueueFull: return "uop_queue_full";
-    case BlockReason::kPortConflict: return "port_conflict";
-    case BlockReason::kDividerBusy:  return "divider_busy";
-  }
-  return "?";
-}
-
-const char* name(GuestAccess k) {
-  switch (k) {
-    case GuestAccess::kLoad:  return "load";
-    case GuestAccess::kStore: return "store";
-    case GuestAccess::kXchg:  return "xchg";
-  }
-  return "?";
-}
 
 const char* name(RunTermination t) {
   switch (t) {
@@ -103,13 +67,37 @@ void Core::load_program(CpuId cpu, const isa::Program& prog,
   t.arch = init;
   t.arch.pc = 0;
   t.mode = TMode::kRunning;
+  if ((mask_ & Observer::kProgram) != 0) obs_->on_program(cpu, prog);
 }
 
-bool Core::all_done() const {
-  for (const Thread& t : threads_) {
-    if (t.mode != TMode::kIdle && t.mode != TMode::kDone) return false;
+void Core::attach(Observer* obs) {
+  SMT_CHECK(obs != nullptr);
+  if ((obs->interests() & Observer::kProgram) != 0) {
+    for (int i = 0; i < kNumLogicalCpus; ++i) {
+      if (threads_[i].prog != nullptr) {
+        obs->on_program(static_cast<CpuId>(i), *threads_[i].prog);
+      }
+    }
   }
-  return true;
+  if (obs_ == nullptr) {
+    obs_ = obs;
+  } else {
+    if (obs_ != &tee_) tee_.add(obs_);
+    tee_.add(obs);
+    obs_ = &tee_;
+  }
+  mask_ = obs_->interests();
+  next_window_ = (mask_ & Observer::kWindow) != 0 ? obs_->next_window()
+                                                  : kNoFutureEvent;
+}
+
+bool Core::finished(StopWhen stop) const {
+  bool any = false, all = true;
+  for (const Thread& t : threads_) {
+    any |= t.mode == TMode::kDone;
+    all &= t.mode == TMode::kIdle || t.mode == TMode::kDone;
+  }
+  return stop == StopWhen::kAllDone ? all : any;
 }
 
 bool Core::partitioned(CpuId cpu) const {
@@ -182,7 +170,9 @@ void Core::mirror_access_stats(CpuId cpu, const mem::AccessOutcome& out,
                                bool is_load, uint32_t pc) {
   if (out.served_by != mem::ServedBy::kL1) {
     ctr_.add(cpu, Event::kL1Misses);
-    if (pipe_ != nullptr) pipe_->on_demand_miss(cpu, pc, out.l2_miss);
+    if ((mask_ & Observer::kDemandMiss) != 0) {
+      obs_->on_demand_miss(cpu, pc, out.l2_miss, now_);
+    }
   }
   if (out.served_by == mem::ServedBy::kL2 ||
       out.served_by == mem::ServedBy::kMemory) {
@@ -191,7 +181,6 @@ void Core::mirror_access_stats(CpuId cpu, const mem::AccessOutcome& out,
   if (out.l2_miss) {
     ctr_.add(cpu, Event::kL2Misses);
     if (is_load) ctr_.add(cpu, Event::kL2ReadMisses);
-    if (trace_ != nullptr) trace_->on_l2_miss(cpu, now_);
   }
 }
 
@@ -251,14 +240,13 @@ void Core::update_modes(Thread& t, CpuId cpu) {
         t.ipi_pending = false;
         t.mode = TMode::kWaking;
         t.mode_until = now_ + cfg_.halt_wake_cost;
-        if (trace_ != nullptr) trace_->on_ipi_wake(cpu, now_);
-        if (pipe_ != nullptr) pipe_->on_ipi_wake(cpu);
+        if ((mask_ & Observer::kIpiWake) != 0) obs_->on_ipi_wake(cpu, now_);
       }
       break;
     case TMode::kWaking:
       if (now_ >= t.mode_until) {
         t.mode = TMode::kRunning;
-        if (trace_ != nullptr) trace_->on_halt_exit(cpu, now_);
+        if ((mask_ & Observer::kHaltExit) != 0) obs_->on_halt_exit(cpu, now_);
       }
       break;
     case TMode::kExiting:
@@ -317,11 +305,9 @@ int Core::retire_thread(Thread& t, CpuId cpu) {
       // The store-buffer entry stays occupied until the drain completes.
     }
 
-    if (observer_ != nullptr) observer_->on_retire(cpu, u);
-    if (pipe_ != nullptr) {
-      pipe_->on_retire_uop(cpu, u, u.op == Opcode::kXchg ? 2 : 1);
+    if ((mask_ & Observer::kRetire) != 0) {
+      obs_->on_retire(cpu, u, u.op == Opcode::kXchg ? 2 : 1, now_);
     }
-    if (pview_ != nullptr) pview_->on_retire(cpu, u.uid, now_);
 
     ++t.head;
     ++retired;
@@ -458,10 +444,9 @@ bool Core::try_issue_one(Thread& t, CpuId cpu, int& budget) {
     if (has_port) {
       ++port_issued_[idx(cpu)][static_cast<int>(port)];
     }
-    if (pipe_ != nullptr && has_port) pipe_->on_issue(cpu, port, u.pc);
-    if (pview_ != nullptr) {
-      pview_->on_issue(cpu, u.uid, has_port ? static_cast<int>(port) : -1,
-                       now_, done);
+    if ((mask_ & Observer::kIssue) != 0) {
+      obs_->on_issue(cpu, u, has_port ? static_cast<int>(port) : -1, now_,
+                     done);
     }
     --budget;
     return true;
@@ -632,7 +617,9 @@ int Core::dispatch_thread(Thread& t, CpuId cpu) {
     t.uq.pop_front();
     ++dispatched;
     ctr_.add(cpu, Event::kDispatchedUops);
-    if (pview_ != nullptr) pview_->on_dispatch(cpu, e.uop.uid, now_);
+    if ((mask_ & Observer::kDispatch) != 0) {
+      obs_->on_dispatch(cpu, e.uop, now_);
+    }
   }
   return dispatched;
 }
@@ -682,29 +669,18 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
       add_dep_reg(in.mem.index);
     }
 
-    // Telemetry watchpoints on annotated sync words (barrier flags, lock
-    // words): observed at functional-execution time, when the stored /
-    // exchanged value is known. Pure observation — no simulation state or
-    // counter is touched.
-    if (trace_ != nullptr && u.is_store && trace_->watches(r.addr)) {
-      if (in.op == Opcode::kXchg) {
-        trace_->on_xchg(cpu, r.addr, r.loaded, now_);
-      } else {
-        trace_->on_store(cpu, r.addr, mem_.read_u64(r.addr), now_);
-      }
-    }
-
-    // Guest-access observer hook (happens-before race detection): raised
+    // Guest-access hook (race detection, sync-word watchpoints): raised
     // here because functional execution at fetch time makes the call
     // sequence an exact sequentially consistent interleaving of both
-    // contexts' accesses. Read-only, like the telemetry watchpoints.
-    if (pipe_ != nullptr && (u.is_load || u.is_store) && !u.is_prefetch) {
+    // contexts' accesses, with the stored / exchanged value known.
+    if ((mask_ & Observer::kGuestAccess) != 0 && (u.is_load || u.is_store) &&
+        !u.is_prefetch) {
       const GuestAccess kind = in.op == Opcode::kXchg ? GuestAccess::kXchg
                                : u.is_store           ? GuestAccess::kStore
                                                       : GuestAccess::kLoad;
       const uint64_t value =
           kind == GuestAccess::kStore ? mem_.read_u64(r.addr) : r.loaded;
-      pipe_->on_guest_access(cpu, u.pc, r.addr, kind, value);
+      obs_->on_guest_access(cpu, u.pc, r.addr, kind, value, now_);
     }
 
     // Memory-order-violation (spin-exit) modelling.
@@ -718,7 +694,7 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
 
     t.uq.push_back(u);
     ++fetched;
-    if (pview_ != nullptr) pview_->on_fetch(cpu, u.uid, u.pc, now_);
+    if ((mask_ & Observer::kFetch) != 0) obs_->on_fetch(cpu, u, now_);
 
     switch (r.special) {
       case ExecResult::Special::kPause:
@@ -728,12 +704,11 @@ int Core::fetch_thread(Thread& t, CpuId cpu) {
         return fetched;
       case ExecResult::Special::kHalt:
         t.mode = TMode::kHalting;
-        if (trace_ != nullptr) trace_->on_halt_enter(cpu, now_);
+        if ((mask_ & Observer::kHaltEnter) != 0) obs_->on_halt_enter(cpu, now_);
         return fetched;
       case ExecResult::Special::kIpi:
         ctr_.add(cpu, Event::kIpisSent);
-        if (trace_ != nullptr) trace_->on_ipi_send(cpu, now_);
-        if (pipe_ != nullptr) pipe_->on_ipi_send(cpu);
+        if ((mask_ & Observer::kIpiSend) != 0) obs_->on_ipi_send(cpu, now_);
         deliver_ipi(other(cpu));
         break;
       default:
@@ -806,7 +781,7 @@ bool Core::step_cycle() {
   }
   // Attribution-only: find which PC (if any) is issue-blocked this cycle.
   // Must run after the issue stage so the result reflects final port state.
-  if (pipe_ != nullptr && pipe_->wants_issue_blocks()) scan_issue_blocks();
+  if ((mask_ & Observer::kStall) != 0) scan_issue_blocks();
 
   // Dispatch: the allocator serves one context per cycle (alternating); a
   // context that has nothing queued — or whose next uop cannot allocate
@@ -895,6 +870,7 @@ bool Core::step_cycle() {
   }
 
   record_cycle_counters(now_, 1);
+  if ((mask_ & Observer::kStall) != 0) raise_stalls(1);
   return any;
 }
 
@@ -926,73 +902,64 @@ void Core::record_cycle_counters(Cycle first, Cycle n) {
     }
     if (t.mode == TMode::kRunning && t.uq_full) {
       ctr_.add(cpu, Event::kUopQueueFullCycles, n);
-      if (pipe_ != nullptr) {
-        pipe_->on_block(cpu, BlockReason::kUopQueueFull, t.uq_full_pc, n);
-        pipe_->on_interference(cpu, BlockReason::kUopQueueFull,
-                               t.uq_full_sibling, -1, n);
-      }
     }
     switch (t.stall) {
       case StallReason::kRob:
         ctr_.add(cpu, Event::kResourceStallCycles, n);
         ctr_.add(cpu, Event::kRobStallCycles, n);
-        if (pipe_ != nullptr) {
-          pipe_->on_block(cpu, BlockReason::kRob, t.stall_pc, n);
-          pipe_->on_interference(cpu, BlockReason::kRob, t.stall_sibling, -1,
-                                 n);
-        }
         break;
       case StallReason::kLoadQueue:
         ctr_.add(cpu, Event::kResourceStallCycles, n);
         ctr_.add(cpu, Event::kLoadQueueStallCycles, n);
-        if (pipe_ != nullptr) {
-          pipe_->on_block(cpu, BlockReason::kLoadQueue, t.stall_pc, n);
-          pipe_->on_interference(cpu, BlockReason::kLoadQueue,
-                                 t.stall_sibling, -1, n);
-        }
         break;
       case StallReason::kStoreBuffer:
         ctr_.add(cpu, Event::kResourceStallCycles, n);
         ctr_.add(cpu, Event::kStoreBufferStallCycles, n);
-        if (pipe_ != nullptr) {
-          pipe_->on_block(cpu, BlockReason::kStoreBuffer, t.stall_pc, n);
-          pipe_->on_interference(cpu, BlockReason::kStoreBuffer,
-                                 t.stall_sibling, -1, n);
-        }
         break;
       default:
         break;
     }
-    if (pipe_ != nullptr && t.issue_blocked) {
-      pipe_->on_block(cpu, t.issue_block_reason, t.issue_block_pc, n);
-      pipe_->on_interference(cpu, t.issue_block_reason, t.issue_block_sibling,
-                             t.issue_block_port, n);
+  }
+}
+
+void Core::raise_stalls(Cycle n) {
+  // The same predicates record_cycle_counters bumps the stall counters on,
+  // so per reason the reported cycles sum to the counters exactly.
+  static constexpr BlockReason kAllocStall[] = {
+      BlockReason::kRob, BlockReason::kRob, BlockReason::kLoadQueue,
+      BlockReason::kStoreBuffer};  // indexed by StallReason (kNone unused)
+  for (int i = 0; i < kNumLogicalCpus; ++i) {
+    const Thread& t = threads_[i];
+    const CpuId cpu = static_cast<CpuId>(i);
+    if (t.mode == TMode::kRunning && t.uq_full) {
+      obs_->on_stall(cpu, BlockReason::kUopQueueFull, t.uq_full_pc,
+                     t.uq_full_sibling, -1, n);
+    }
+    if (t.stall != StallReason::kNone) {
+      obs_->on_stall(cpu, kAllocStall[static_cast<int>(t.stall)], t.stall_pc,
+                     t.stall_sibling, -1, n);
+    }
+    if (t.issue_blocked) {
+      obs_->on_stall(cpu, t.issue_block_reason, t.issue_block_pc,
+                     t.issue_block_sibling, t.issue_block_port, n);
     }
   }
 }
 
-void Core::sample_up_to(Cycle t) {
-  while (sampler_ != nullptr && sampler_->next_boundary() <= t) {
-    sampler_->on_boundary(sampler_->next_boundary());
-  }
-}
-
 void Core::record_skipped_window(Cycle first, Cycle n) {
-  if (sampler_ == nullptr) {
-    record_cycle_counters(first, n);
-    return;
-  }
-  // Chunk the bulk accumulation at sampling boundaries. Within a skipped
-  // window every per-cycle predicate is constant and record_cycle_counters
-  // is linear in n, so the split is exact: each sampling window sees
-  // precisely the cycles it covers, bit-identical to single-stepping.
+  // One on_stall per reason for the whole window, whatever window
+  // observers are attached: every blocking predicate is frozen inside it.
+  if ((mask_ & Observer::kStall) != 0) raise_stalls(n);
+  // Chunk the bulk counter accumulation at window boundaries. Within a
+  // skipped window every per-cycle predicate is constant and
+  // record_cycle_counters is linear in n, so the split is exact: each
+  // window sees precisely the cycles it covers, bit-identical to
+  // single-stepping. Without a window observer this is one chunk.
   const Cycle end = first + n;
   Cycle cur = first;
   while (cur < end) {
     sample_up_to(cur);  // a boundary may fall exactly on the chunk start
-    Cycle stop = end;
-    const Cycle b = sampler_->next_boundary();
-    if (b < stop) stop = b;
+    const Cycle stop = std::min(end, next_window_);
     record_cycle_counters(cur, stop - cur);
     cur = stop;
   }
@@ -1044,11 +1011,11 @@ constexpr uint64_t kCancelPollPeriod = 4096;
 
 }  // namespace
 
-RunResult Core::try_run(Cycle max_cycles) {
+RunResult Core::try_run(Cycle max_cycles, StopWhen stop) {
   const Cycle deadline = now_ + max_cycles;
   last_retire_cycle_ = now_;
   uint64_t iter = 0;
-  while (!all_done()) {
+  while (!finished(stop)) {
     if (cancel_ && (++iter % kCancelPollPeriod) == 0 && cancel_()) {
       return {RunTermination::kCancelled, "cancelled by host watchdog"};
     }
@@ -1079,33 +1046,6 @@ RunResult Core::try_run(Cycle max_cycles) {
 void Core::run(Cycle max_cycles) {
   const RunResult r = try_run(max_cycles);
   SMT_CHECK_MSG(r.ok(), r.message.c_str());
-}
-
-CpuId Core::run_until_any_done(Cycle max_cycles) {
-  const Cycle deadline = now_ + max_cycles;
-  last_retire_cycle_ = now_;
-  while (true) {
-    for (int i = 0; i < kNumLogicalCpus; ++i) {
-      if (threads_[i].prog != nullptr && threads_[i].mode == TMode::kDone) {
-        return static_cast<CpuId>(i);
-      }
-    }
-    const bool any = step_cycle();
-    if (!any && cfg_.event_skip) {
-      const Cycle next = next_event_cycle();
-      SMT_CHECK_MSG(next != kNoFutureEvent, kDeadlockAsleepMsg);
-      if (next > now_ + 1) {
-        record_skipped_window(now_ + 1, next - now_ - 1);
-        now_ = next;
-        continue;
-      }
-    }
-    ++now_;
-    sample_up_to(now_);
-    SMT_CHECK_MSG(now_ - last_retire_cycle_ < cfg_.watchdog_cycles,
-                  kDeadlockWatchdogMsg);
-    SMT_CHECK_MSG(now_ < deadline, kMaxCyclesMsg);
-  }
 }
 
 }  // namespace smt::cpu

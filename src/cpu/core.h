@@ -33,100 +33,38 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
 #include "cpu/arch_state.h"
 #include "cpu/config.h"
+#include "cpu/observer.h"
 #include "isa/program.h"
 #include "mem/hierarchy.h"
 #include "mem/sim_memory.h"
 #include "perfmon/counters.h"
 
-namespace smt::trace {
-class CounterSampler;
-class PipeViewRecorder;
-class TraceRecorder;
-}  // namespace smt::trace
-
 namespace smt::cpu {
 
-/// One dynamic uop flowing through the backend.
-struct DynUop {
-  // Monotonic per-core id, assigned at fetch in program order across both
-  // contexts (deterministic: the counter advances whether or not any
-  // observer is attached). Keys the pipeline-lifetime trace.
-  uint64_t uid = 0;
-  uint32_t pc = 0;
-  isa::Opcode op = isa::Opcode::kNop;
-  isa::UnitClass unit = isa::UnitClass::kNone;
-  isa::RegId dst = isa::kNoReg;
-  isa::RegId dep_regs[4];  // register sources (incl. address regs)
-  int ndep_regs = 0;
-  Addr addr = 0;
-  bool is_load = false;     // holds a load-queue entry
-  bool is_store = false;    // holds a store-buffer entry
-  bool is_prefetch = false;
-  bool prefetch_to_l1 = false;
-  bool is_branch = false;
-};
-
-/// Observer invoked for every retired uop; the Pin-analog profiler in
-/// src/profile attaches through this.
-class RetireObserver {
- public:
-  virtual ~RetireObserver() = default;
-  virtual void on_retire(CpuId cpu, const DynUop& uop) = 0;
-};
-
-/// Issue ports of the modeled backend, at the granularity the paper's
-/// Table 1 / Figure 6 reason about: the two double-speed ALUs (logical,
-/// shift and branch uops are restricted to ALU0), the single shared FP
-/// issue port (FP add/mul/div plus the complex integer unit), the FP-move
-/// path, and the load / store-address ports.
-enum class IssuePort : uint8_t {
-  kAlu0,
-  kAlu1,
-  kFp,      // shared FP complex port (fadd/fmul/fdiv/imul/idiv)
-  kFpMove,
-  kLoad,
-  kStore,   // store-address generation
-};
-inline constexpr int kNumIssuePorts = 6;
-
-/// Why the backend could not make forward progress on a uop this cycle.
-/// The first four mirror the allocator/frontend stall counters; the last
-/// two are issue-stage conditions that have no per-CPU counter but are
-/// attributable per PC (the ALU0 serialization the paper's §5.3 reasons
-/// about shows up as kPortConflict on the mask instructions).
-enum class BlockReason : uint8_t {
-  kStoreBuffer,
-  kRob,
-  kLoadQueue,
-  kUopQueueFull,
-  kPortConflict,  // ready to issue, but the port (or issue slots) were taken
-  kDividerBusy,   // ready to issue, but the unpipelined divider is occupied
-};
-inline constexpr int kNumBlockReasons = 6;
-
-const char* name(IssuePort p);
-const char* name(BlockReason r);
-
-/// Sentinel of next_event_cycle(): no context has any scheduled future
-/// event — every bound context is asleep with no wake-up pending, i.e.
-/// the simulated synchronization has deadlocked.
-inline constexpr Cycle kNoFutureEvent = std::numeric_limits<Cycle>::max();
+/// Default cycle budget of the run loops.
+inline constexpr Cycle kDefaultMaxCycles = 4'000'000'000ull;
 
 /// Why a (non-aborting) run loop returned.
 enum class RunTermination : uint8_t {
-  kDone,                 // every bound context exited
+  kDone,                 // the stop condition was met (see StopWhen)
   kDeadlock,             // watchdog or lost wake-up: no forward progress
   kCycleBudgetExceeded,  // max_cycles elapsed before completion
   kCancelled,            // the host cancel check fired (sweep watchdog)
 };
 const char* name(RunTermination t);
+
+/// When try_run is done.
+enum class StopWhen : uint8_t {
+  kAllDone,  // every bound context exited
+  kAnyDone,  // the first bound context exited (the co-execution experiments
+             // measure CPI over the fully-overlapped window)
+};
 
 /// Structured result of Core::try_run — the failure paths the legacy
 /// run() turns into SMT_CHECK aborts, as data.
@@ -135,76 +73,6 @@ struct RunResult {
   std::string message;  // empty on kDone; the would-be abort text otherwise
 
   bool ok() const { return termination == RunTermination::kDone; }
-};
-
-/// Kind of a guest memory access as seen by PipelineObserver::
-/// on_guest_access (prefetches are not reported — they have no
-/// architectural effect).
-enum class GuestAccess : uint8_t {
-  kLoad,   // load / fload
-  kStore,  // store / fstore
-  kXchg,   // atomic exchange (reads and writes the word)
-};
-const char* name(GuestAccess k);
-
-/// Pure observer of the backend's issue, stall and miss activity — the
-/// attachment point of the per-PC attribution profiler
-/// (profile::PcProfiler) and the happens-before race detector
-/// (analysis::RaceDetector). Like the telemetry instruments, it is
-/// read-only: attaching one never perturbs a counter, and every callback
-/// replays bit-identically under event-skip fast-forward (on_block is
-/// raised from record_cycle_counters with the frozen per-thread blocking
-/// state, so a skipped window attributes exactly like single-cycle
-/// stepping; guest accesses and IPIs only ever happen in stepped cycles).
-class PipelineObserver {
- public:
-  virtual ~PipelineObserver() = default;
-  /// A uop from `pc` won an issue slot on `port` this cycle. Uops with no
-  /// execution unit (nop/pause/halt/ipi/exit) consume issue bandwidth but
-  /// no port and are not reported.
-  virtual void on_issue(CpuId cpu, IssuePort port, uint32_t pc) = 0;
-  /// The oldest blocked uop of `cpu`, from `pc`, spent `cycles` cycles
-  /// blocked for `reason` (bulk-reported across event-skip windows).
-  virtual void on_block(CpuId cpu, BlockReason reason, uint32_t pc,
-                        Cycle cycles) = 0;
-  /// Interference attribution twin of on_block: raised at the exact same
-  /// points with the same `cycles`, plus the self-vs-sibling classification
-  /// — `sibling` is true when the stall would not have happened without the
-  /// other context (a partitioned structure the uop would fit into at full
-  /// size, a port the sibling reserved this cycle, a divider mid-operation
-  /// on a sibling divide). For kPortConflict `port` names the contended
-  /// IssuePort (as an int), or -1 when the uop lost to issue-bandwidth
-  /// exhaustion rather than a specific port; -1 for every other reason.
-  /// Summing self+sibling per reason therefore reproduces the stall
-  /// counters bit-exactly, under both event_skip modes. Default no-op.
-  virtual void on_interference(CpuId cpu, BlockReason reason, bool sibling,
-                               int port, Cycle cycles) {
-    (void)cpu, (void)reason, (void)sibling, (void)port, (void)cycles;
-  }
-  /// Observers that never consume on_block/on_interference for the
-  /// issue-stage reasons may return false to skip the per-cycle
-  /// scan_issue_blocks pass (the flight recorder does; attribution
-  /// observers keep the default).
-  virtual bool wants_issue_blocks() const { return true; }
-  /// A demand access by `pc` missed L1 (`l2_miss` = it also missed L2).
-  /// Raised at the same points as the kL1Misses/kL2Misses counters.
-  virtual void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss) = 0;
-  /// A uop from `pc` retired; `uops` is its retired-uop count (2 for the
-  /// load+store halves of xchg), matching kUopsRetired exactly.
-  virtual void on_retire_uop(CpuId cpu, const DynUop& uop, int uops) = 0;
-  /// A guest load/store/xchg executed functionally at `addr` (raised at
-  /// fetch time, where the functional interpreter runs, in exact
-  /// sequentially-consistent interleaving order). `value` is the value
-  /// read (loads, and the old word for xchg) or the value stored.
-  /// Default no-op so observers that don't track memory stay unchanged.
-  virtual void on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
-                               GuestAccess kind, uint64_t value) {
-    (void)cpu, (void)pc, (void)addr, (void)kind, (void)value;
-  }
-  /// `cpu` executed an ipi instruction (wake-up sent to the sibling).
-  virtual void on_ipi_send(CpuId cpu) { (void)cpu; }
-  /// A halted `cpu` consumed a pending IPI and began waking.
-  virtual void on_ipi_wake(CpuId cpu) { (void)cpu; }
 };
 
 class Core {
@@ -220,14 +88,16 @@ class Core {
   /// Runs until every bound context has exited. Aborts via SMT_CHECK if the
   /// watchdog sees no retirement progress (deadlock in simulated sync) or
   /// `max_cycles` elapses.
-  void run(Cycle max_cycles = 4'000'000'000ull);
+  void run(Cycle max_cycles = kDefaultMaxCycles);
 
   /// Non-aborting run: like run(), but a deadlock (retirement watchdog or
   /// lost wake-up), an exhausted cycle budget, or a fired cancel check is
   /// returned as a structured RunResult instead of crashing the process.
   /// The simulation state stays valid and inspectable after any outcome —
-  /// counters, cycles and memory reflect the partial run.
-  RunResult try_run(Cycle max_cycles = 4'000'000'000ull);
+  /// counters, cycles and memory reflect the partial run. With
+  /// StopWhen::kAnyDone the run ends as soon as one bound context exits.
+  RunResult try_run(Cycle max_cycles = kDefaultMaxCycles,
+                    StopWhen stop = StopWhen::kAllDone);
 
   /// Installs a host-side cancellation predicate polled periodically (every
   /// few thousand run-loop iterations) by try_run; when it returns true,
@@ -239,39 +109,17 @@ class Core {
     cancel_ = std::move(cancel);
   }
 
-  /// Runs until the first bound context exits (used by the co-execution
-  /// stream experiments, which measure CPI over the fully-overlapped
-  /// window). Returns the id of the finished context.
-  CpuId run_until_any_done(Cycle max_cycles = 4'000'000'000ull);
-
   bool done(CpuId cpu) const { return threads_[idx(cpu)].mode == TMode::kDone; }
-  bool all_done() const;
 
   Cycle now() const { return now_; }
 
-  void set_retire_observer(RetireObserver* obs) { observer_ = obs; }
-
-  /// Attaches the per-PC attribution observer (may be null to detach).
-  /// A pure observer with the same guarantees as the telemetry
-  /// instruments: zero cost when detached (every hook is a null check),
-  /// and no counter or simulation state is ever perturbed when attached.
-  void set_pipeline_observer(PipelineObserver* obs) { pipe_ = obs; }
-
-  /// Attaches the pipeline-lifetime trace recorder (may be null to
-  /// detach). Pure observer: uop ids advance deterministically whether or
-  /// not a recorder is attached, so recording never perturbs a counter.
-  void set_pipeview(trace::PipeViewRecorder* pv) { pview_ = pv; }
-
-  /// Attaches the optional telemetry instruments (either may be null).
-  /// Both are pure observers: with them attached, every perf counter stays
-  /// bit-identical to an un-instrumented run — the sampler only makes the
-  /// core split its bulk event-skip accumulation at window boundaries
-  /// (an exact transformation), and the recorder only reads state.
-  void set_telemetry(trace::TraceRecorder* recorder,
-                     trace::CounterSampler* sampler) {
-    trace_ = recorder;
-    sampler_ = sampler;
-  }
+  /// Attaches a pure observer (see cpu/observer.h); several may be
+  /// attached, and they stay attached for the core's lifetime. The
+  /// observer's interest mask is read here, and it receives on_program
+  /// for every context already bound. Attaching never perturbs a counter
+  /// or the simulation; with nothing attached every hook site is one mask
+  /// test.
+  void attach(Observer* obs);
 
   /// Architectural state inspection (tests).
   const ArchState& arch(CpuId cpu) const { return threads_[idx(cpu)].arch; }
@@ -351,7 +199,7 @@ class Core {
     // fetch group at full size).
     bool uq_full_sibling = false;
     // Issue-stage blocking state, recomputed after the issue stage of
-    // every stepped cycle (only while a PipelineObserver is attached):
+    // every stepped cycle (only while an on_stall observer is attached):
     // the oldest dependence-ready but unissued uop in the scheduler
     // window, and why it could not issue. Within an event-skip window the
     // predicate is constant (ports are untouched in no-activity cycles
@@ -392,6 +240,7 @@ class Core {
   int fetch_thread(Thread& t, CpuId cpu);
 
   // --- helpers ---------------------------------------------------------
+  bool finished(StopWhen stop) const;
   bool other_active(CpuId cpu) const;
   bool partitioned(CpuId cpu) const;
   int rob_limit(CpuId cpu) const;
@@ -408,16 +257,26 @@ class Core {
   /// bit-identical either way (regression-tested), because within a
   /// no-activity window every per-cycle predicate is provably constant.
   void record_cycle_counters(Cycle first, Cycle n);
-  /// record_cycle_counters for a skipped window, split at counter-sampler
-  /// boundaries so each sampling window receives exactly the cycles it
-  /// covers (bit-identical to single-cycle stepping).
+  /// Raises on_stall for every blocked context, covering `n` cycles of
+  /// the current (frozen) blocking state: once per stepped cycle, and once
+  /// per skipped window however window boundaries split it.
+  void raise_stalls(Cycle n);
+  /// record_cycle_counters for a skipped window, split at observer window
+  /// boundaries so each window receives exactly the cycles it covers
+  /// (bit-identical to single-cycle stepping).
   void record_skipped_window(Cycle first, Cycle n);
-  /// Closes every sampler window ending at or before cycle `t` (requires
-  /// all cycles < t to be accounted). No-op without a sampler.
-  void sample_up_to(Cycle t);
+  /// Raises on_window for every boundary at or before cycle `t` (requires
+  /// all cycles < t to be accounted). One compare without a window
+  /// observer.
+  void sample_up_to(Cycle t) {
+    while (next_window_ <= t) {
+      obs_->on_window(next_window_);
+      next_window_ = obs_->next_window();
+    }
+  }
   Cycle next_event_cycle() const;
   /// Recomputes Thread::issue_blocked/issue_block_* for both contexts
-  /// (called after the issue stage; only while a PipelineObserver is
+  /// (called after the issue stage; only while an on_stall observer is
   /// attached — the scan is read-only).
   void scan_issue_blocks();
   void mirror_access_stats(CpuId cpu, const mem::AccessOutcome& out,
@@ -429,11 +288,14 @@ class Core {
   mem::SimMemory& mem_;
   perfmon::PerfCounters& ctr_;
   std::function<bool()> cancel_;  // host cancellation predicate (may be empty)
-  RetireObserver* observer_ = nullptr;
-  PipelineObserver* pipe_ = nullptr;
-  trace::PipeViewRecorder* pview_ = nullptr;
-  trace::TraceRecorder* trace_ = nullptr;
-  trace::CounterSampler* sampler_ = nullptr;
+  // The attached observer: the only one, or tee_ over several (null when
+  // none). mask_ caches its interests; next_window_ its next window
+  // boundary (kNoFutureEvent without a window observer), so the per-cycle
+  // sampling check is one compare.
+  Observer* obs_ = nullptr;
+  uint32_t mask_ = 0;
+  Cycle next_window_ = kNoFutureEvent;
+  Tee tee_;
 
   std::array<Thread, kNumLogicalCpus> threads_;
   Cycle now_ = 0;

@@ -4,9 +4,9 @@
 
 namespace smt::profile {
 
-void InterferenceProfiler::on_interference(CpuId cpu, cpu::BlockReason reason,
-                                           bool sibling, int port,
-                                           Cycle cycles) {
+void InterferenceProfiler::on_stall(CpuId cpu, cpu::BlockReason reason,
+                                    uint32_t /*pc*/, bool sibling, int port,
+                                    Cycle cycles) {
   CpuInterference& s = stats_[idx(cpu)];
   const int r = static_cast<int>(reason);
   (sibling ? s.sibling : s.self)[r] += cycles;

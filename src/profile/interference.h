@@ -21,7 +21,7 @@
 // Hard invariant (checked by tools/check_reports and
 // tests/interference_test.cc): per reason, self + sibling cycles equal
 // the corresponding stall counter bit-exactly, under both event_skip
-// modes — the hooks are raised by cpu::Core::record_cycle_counters at the
+// modes — the core raises on_stall from record_cycle_counters at the
 // exact points the counters are bumped. Like the PC profiler, attaching
 // never perturbs any counter and costs nothing when detached.
 #pragma once
@@ -29,7 +29,7 @@
 #include <array>
 #include <cstdint>
 
-#include "cpu/core.h"
+#include "cpu/observer.h"
 
 namespace smt::profile {
 
@@ -55,16 +55,11 @@ struct CpuInterference {
   }
 };
 
-class InterferenceProfiler : public cpu::PipelineObserver {
+class InterferenceProfiler final : public cpu::Observer {
  public:
-  // Only on_interference is consumed; the mandatory hooks are no-ops.
-  void on_issue(CpuId, cpu::IssuePort, uint32_t) override {}
-  void on_block(CpuId, cpu::BlockReason, uint32_t, Cycle) override {}
-  void on_demand_miss(CpuId, uint32_t, bool) override {}
-  void on_retire_uop(CpuId, const cpu::DynUop&, int) override {}
-
-  void on_interference(CpuId cpu, cpu::BlockReason reason, bool sibling,
-                       int port, Cycle cycles) override;
+  uint32_t interests() const override { return kStall; }
+  void on_stall(CpuId cpu, cpu::BlockReason reason, uint32_t pc, bool sibling,
+                int port, Cycle cycles) override;
 
   const CpuInterference& stats(CpuId cpu) const { return stats_[idx(cpu)]; }
 

@@ -37,7 +37,8 @@ Subunit subunit_of(isa::UnitClass u) {
   return Subunit::kOther;
 }
 
-void MixProfiler::on_retire(CpuId cpu, const cpu::DynUop& uop) {
+void MixProfiler::on_retire(CpuId cpu, const cpu::DynUop& uop, int /*uops*/,
+                            Cycle /*now*/) {
   ++counts_[idx(cpu)][static_cast<int>(subunit_of(uop.unit))];
   ++total_[idx(cpu)];
 }

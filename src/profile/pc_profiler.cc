@@ -4,30 +4,33 @@
 
 namespace smt::profile {
 
-void PcProfiler::on_issue(CpuId cpu, cpu::IssuePort port, uint32_t pc) {
-  const int p = static_cast<int>(port);
-  pcs_[idx(cpu)][pc].port_uops[p] += 1;
-  port_totals_[idx(cpu)][p] += 1;
+void PcProfiler::on_issue(CpuId cpu, const cpu::DynUop& uop, int port,
+                          Cycle /*now*/, Cycle /*done*/) {
+  if (port < 0) return;
+  pcs_[idx(cpu)][uop.pc].port_uops[port] += 1;
+  port_totals_[idx(cpu)][port] += 1;
 }
 
-void PcProfiler::on_block(CpuId cpu, cpu::BlockReason reason, uint32_t pc,
-                          Cycle cycles) {
+void PcProfiler::on_stall(CpuId cpu, cpu::BlockReason reason, uint32_t pc,
+                          bool /*sibling*/, int /*port*/, Cycle cycles) {
   pcs_[idx(cpu)][pc].stalls[static_cast<int>(reason)] += cycles;
 }
 
-void PcProfiler::on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss) {
+void PcProfiler::on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss,
+                                Cycle /*now*/) {
   PcStats& s = pcs_[idx(cpu)][pc];
   s.l1_misses += 1;
   if (l2_miss) s.l2_misses += 1;
 }
 
-void PcProfiler::on_retire_uop(CpuId cpu, const cpu::DynUop& uop, int uops) {
+void PcProfiler::on_retire(CpuId cpu, const cpu::DynUop& uop, int uops,
+                           Cycle /*now*/) {
   PcStats& s = pcs_[idx(cpu)][uop.pc];
   s.retired_instrs += 1;
   s.retired_uops += static_cast<uint64_t>(uops);
 }
 
-void PcProfiler::set_program(CpuId cpu, const isa::Program& prog) {
+void PcProfiler::on_program(CpuId cpu, const isa::Program& prog) {
   std::map<uint32_t, std::string>& d = disasm_[idx(cpu)];
   d.clear();
   for (size_t pc = 0; pc < prog.size(); ++pc) {

@@ -29,7 +29,7 @@
 #include <map>
 #include <string>
 
-#include "cpu/core.h"
+#include "cpu/observer.h"
 #include "isa/program.h"
 
 namespace smt::profile {
@@ -44,17 +44,23 @@ struct PcStats {
   std::array<uint64_t, cpu::kNumIssuePorts> port_uops{};  // issued, by port
 };
 
-class PcProfiler : public cpu::PipelineObserver {
+class PcProfiler final : public cpu::Observer {
  public:
-  void on_issue(CpuId cpu, cpu::IssuePort port, uint32_t pc) override;
-  void on_block(CpuId cpu, cpu::BlockReason reason, uint32_t pc,
-                Cycle cycles) override;
-  void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss) override;
-  void on_retire_uop(CpuId cpu, const cpu::DynUop& uop, int uops) override;
-
-  /// Remember the program loaded on `cpu` so reports can carry per-PC
+  uint32_t interests() const override {
+    return kProgram | kIssue | kStall | kDemandMiss | kRetire;
+  }
+  /// Remembers the program loaded on `cpu` so reports can carry per-PC
   /// disassembly and stay self-contained.
-  void set_program(CpuId cpu, const isa::Program& prog);
+  void on_program(CpuId cpu, const isa::Program& prog) override;
+  /// Port occupancy; portless uops (port -1) are not attributed.
+  void on_issue(CpuId cpu, const cpu::DynUop& uop, int port, Cycle now,
+                Cycle done) override;
+  void on_stall(CpuId cpu, cpu::BlockReason reason, uint32_t pc, bool sibling,
+                int port, Cycle cycles) override;
+  void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss,
+                      Cycle now) override;
+  void on_retire(CpuId cpu, const cpu::DynUop& uop, int uops,
+                 Cycle now) override;
 
   /// Per-PC attribution map, in PC order (std::map keeps it deterministic).
   const std::map<uint32_t, PcStats>& pcs(CpuId cpu) const {
@@ -65,7 +71,8 @@ class PcProfiler : public cpu::PipelineObserver {
       CpuId cpu) const {
     return port_totals_[idx(cpu)];
   }
-  /// Disassembly for `pc` as loaded via set_program ("" if unknown).
+  /// Disassembly for `pc` of the program seen by on_program ("" if
+  /// unknown).
   std::string disasm(CpuId cpu, uint32_t pc) const;
 
   void reset();

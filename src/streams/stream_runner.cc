@@ -32,7 +32,9 @@ StreamMeasurement run_pair(const StreamSpec& a, const StreamSpec& b,
   mem::MemoryLayout layout;
   m.load_program(CpuId::kCpu0, build_stream(a, layout, 0));
   m.load_program(CpuId::kCpu1, build_stream(b, layout, 1));
-  m.run_until_any_done();
+  const cpu::RunResult run =
+      m.try_run(cpu::kDefaultMaxCycles, cpu::StopWhen::kAnyDone);
+  SMT_CHECK_MSG(run.ok(), run.message.c_str());
 
   StreamMeasurement r;
   r.cycles = m.cycles();

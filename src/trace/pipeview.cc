@@ -9,7 +9,7 @@
 
 namespace smt::trace {
 
-void PipeViewRecorder::on_fetch(CpuId cpu, uint64_t uid, uint32_t pc,
+void PipeViewRecorder::on_fetch(CpuId cpu, const cpu::DynUop& uop,
                                 Cycle now) {
   if (now < cfg_.begin || now > cfg_.end) return;
   if (recs_.size() >= cfg_.max_uops) {
@@ -17,11 +17,11 @@ void PipeViewRecorder::on_fetch(CpuId cpu, uint64_t uid, uint32_t pc,
     return;
   }
   UopRecord r;
-  r.uid = uid;
-  r.pc = pc;
+  r.uid = uop.uid;
+  r.pc = uop.pc;
   r.cpu = static_cast<uint8_t>(idx(cpu));
   r.fetch = now;
-  index_.emplace(uid, recs_.size());
+  index_.emplace(uop.uid, recs_.size());
   recs_.push_back(r);
 }
 
@@ -30,18 +30,17 @@ PipeViewRecorder::UopRecord* PipeViewRecorder::find(uint64_t uid) {
   return it == index_.end() ? nullptr : &recs_[it->second];
 }
 
-void PipeViewRecorder::on_dispatch(CpuId cpu, uint64_t uid, Cycle now) {
-  (void)cpu;
-  UopRecord* r = find(uid);
+void PipeViewRecorder::on_dispatch(CpuId /*cpu*/, const cpu::DynUop& uop,
+                                   Cycle now) {
+  UopRecord* r = find(uop.uid);
   if (r == nullptr) return;
   r->has_dispatch = true;
   r->dispatch = now;
 }
 
-void PipeViewRecorder::on_issue(CpuId cpu, uint64_t uid, int port, Cycle now,
-                                Cycle done) {
-  (void)cpu;
-  UopRecord* r = find(uid);
+void PipeViewRecorder::on_issue(CpuId /*cpu*/, const cpu::DynUop& uop,
+                                int port, Cycle now, Cycle done) {
+  UopRecord* r = find(uop.uid);
   if (r == nullptr) return;
   r->has_issue = true;
   r->port = static_cast<int8_t>(port);
@@ -49,20 +48,15 @@ void PipeViewRecorder::on_issue(CpuId cpu, uint64_t uid, int port, Cycle now,
   r->done = done;
 }
 
-void PipeViewRecorder::on_retire(CpuId cpu, uint64_t uid, Cycle now) {
-  (void)cpu;
-  UopRecord* r = find(uid);
+void PipeViewRecorder::on_retire(CpuId /*cpu*/, const cpu::DynUop& uop,
+                                 int /*uops*/, Cycle now) {
+  UopRecord* r = find(uop.uid);
   if (r == nullptr) return;
   r->has_retire = true;
   r->retire = now;
 }
 
 namespace {
-
-// Issue-port names, indexed like cpu::IssuePort (kept local to avoid a
-// trace -> cpu dependency; the mapping is asserted by pipeview tests).
-constexpr const char* kPortNames[] = {"alu0",    "alu1", "fp",
-                                      "fp_move", "load", "store"};
 
 struct KEvent {
   Cycle cycle = 0;
@@ -116,7 +110,9 @@ std::string PipeViewRecorder::to_kanata() const {
                     static_cast<unsigned long long>(r.uid));
       x += buf;
       const char* port =
-          r.port >= 0 && r.port < 6 ? kPortNames[r.port] : "none";
+          r.port >= 0 && r.port < cpu::kNumIssuePorts
+              ? cpu::name(static_cast<cpu::IssuePort>(r.port))
+              : "none";
       std::snprintf(buf, sizeof buf, "L\t%llu\t1\tport=%s issue=%llu done=%llu\n",
                     static_cast<unsigned long long>(r.uid), port,
                     static_cast<unsigned long long>(r.issue),

@@ -1,11 +1,11 @@
 // PipeViewRecorder: per-uop pipeline lifetime traces in Kanata format.
 //
-// The core stamps every dynamic uop at each stage boundary — fetch,
-// dispatch (allocation into the ROB), issue (port reservation) and retire
-// — and the recorder serializes the lifetimes as a Kanata 0004 log, the
-// format the Konata pipeline viewer renders: one lane per uop, stages
-// F → Ds → X → Cm → retire, lanes colored by logical CPU (Kanata's thread
-// id), with the issue port in the mouse-over label. SMT port stealing is
+// The core's observer bus stamps every dynamic uop at each stage boundary
+// — fetch, dispatch (allocation into the ROB), issue (port reservation)
+// and retire — and the recorder serializes the lifetimes as a Kanata 0004
+// log, the format the Konata pipeline viewer renders: one lane per uop,
+// stages F → Ds → X → Cm → retire, lanes colored by logical CPU (Kanata's
+// thread id), with the issue port in the mouse-over label. SMT port stealing is
 // directly visible as sibling-colored uops occupying X on the cycle a
 // stalled uop sits in Ds.
 //
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "cpu/observer.h"
 #include "isa/program.h"
 
 namespace smt::trace {
@@ -38,25 +39,27 @@ struct PipeViewConfig {
   size_t max_uops = 1u << 20;  ///< memory backstop on dense windows
 };
 
-class PipeViewRecorder {
+class PipeViewRecorder final : public cpu::Observer {
  public:
   explicit PipeViewRecorder(const PipeViewConfig& cfg = {}) : cfg_(cfg) {}
 
-  /// Registers the program bound to `cpu` so emitted labels carry its
+  // --- cpu::Observer -------------------------------------------------------
+  uint32_t interests() const override {
+    return kProgram | kFetch | kDispatch | kIssue | kRetire;
+  }
+  /// Keeps the program bound to `cpu` so emitted labels carry its
   /// disassembly. Stored by value: the recorder is shared out through
   /// RunStats and routinely outlives the Machine (and its programs) —
   /// the sweep serializes Kanata only after try_run_workload returns.
-  void set_program(CpuId cpu, const isa::Program& prog) {
+  void on_program(CpuId cpu, const isa::Program& prog) override {
     progs_[idx(cpu)] = prog;
   }
-
-  // --- core hooks (called by cpu::Core when attached) --------------------
-  void on_fetch(CpuId cpu, uint64_t uid, uint32_t pc, Cycle now);
-  void on_dispatch(CpuId cpu, uint64_t uid, Cycle now);
-  /// `port` is the reserved IssuePort as an int, or -1 for portless uops
-  /// (nop/pause/halt/ipi); `done` is the execution-complete cycle.
-  void on_issue(CpuId cpu, uint64_t uid, int port, Cycle now, Cycle done);
-  void on_retire(CpuId cpu, uint64_t uid, Cycle now);
+  void on_fetch(CpuId cpu, const cpu::DynUop& uop, Cycle now) override;
+  void on_dispatch(CpuId cpu, const cpu::DynUop& uop, Cycle now) override;
+  void on_issue(CpuId cpu, const cpu::DynUop& uop, int port, Cycle now,
+                Cycle done) override;
+  void on_retire(CpuId cpu, const cpu::DynUop& uop, int uops,
+                 Cycle now) override;
 
   /// Serializes the captured lifetimes as a Kanata 0004 log. Only uops
   /// with a complete fetch→retire lifetime inside the window are emitted.

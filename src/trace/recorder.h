@@ -1,12 +1,12 @@
 // TraceRecorder: cycle-stamped event timeline of one simulated run.
 //
-// The core (and, through address annotations, the sync primitives and the
-// SPR prefetch runner) feed it events as they happen: halt entry/exit,
-// IPI send/wake, barrier arrivals paired into episode spans, lock
-// acquire/release paired into held spans, and L2-miss bursts. Events live
-// in a bounded ring buffer (oldest dropped first, with a drop count), and
-// are serialized as Chrome trace-event JSON — loadable in Perfetto or
-// chrome://tracing — by trace/telemetry.h.
+// It rides the core's observer bus (and, through address annotations from
+// the sync primitives and the SPR prefetch runner, watches sync words):
+// halt entry/exit, IPI send/wake, barrier arrivals paired into episode
+// spans, lock acquire/release paired into held spans, and L2-miss bursts.
+// Events live in a bounded ring buffer (oldest dropped first, with a drop
+// count), and are serialized as Chrome trace-event JSON — loadable in
+// Perfetto or chrome://tracing — by trace/telemetry.h.
 //
 // The recorder is an observer: it only reads simulation state and never
 // touches the perf counters, so enabling it is guaranteed not to perturb
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "cpu/observer.h"
 
 namespace smt::trace {
 
@@ -57,7 +58,7 @@ struct Annotation {
   bool spr = false;  ///< barrier throttles an SPR prefetcher (handoffs)
 };
 
-class TraceRecorder {
+class TraceRecorder final : public cpu::Observer {
  public:
   explicit TraceRecorder(size_t capacity, Cycle l2_burst_gap);
 
@@ -67,20 +68,25 @@ class TraceRecorder {
   int annotate_lock(Addr lock_addr, std::string name);
   const std::vector<Annotation>& annotations() const { return anns_; }
 
-  /// True if `addr` is an annotated word — lets the core skip the value
-  /// read-back for the (vast majority of) unwatched stores.
+  /// True if `addr` is an annotated word.
   bool watches(Addr addr) const { return watch_.count(addr) > 0; }
 
-  // --- event feeds (called by cpu::Core while simulating) ----------------
-  void on_halt_enter(CpuId cpu, Cycle now);
-  void on_halt_exit(CpuId cpu, Cycle now);
-  void on_ipi_send(CpuId cpu, Cycle now);
-  void on_ipi_wake(CpuId cpu, Cycle now);
-  void on_l2_miss(CpuId cpu, Cycle now);
-  /// A store of `value` to an annotated address retired functionally.
-  void on_store(CpuId cpu, Addr addr, uint64_t value, Cycle now);
-  /// An xchg on an annotated address; `loaded` is the value it read.
-  void on_xchg(CpuId cpu, Addr addr, uint64_t loaded, Cycle now);
+  // --- cpu::Observer -------------------------------------------------------
+  uint32_t interests() const override {
+    return kDemandMiss | kGuestAccess | kHaltEnter | kHaltExit | kIpiSend |
+           kIpiWake;
+  }
+  void on_halt_enter(CpuId cpu, Cycle now) override;
+  void on_halt_exit(CpuId cpu, Cycle now) override;
+  void on_ipi_send(CpuId cpu, Cycle now) override;
+  void on_ipi_wake(CpuId cpu, Cycle now) override;
+  /// L2 misses are grouped into bursts; L1-only misses are ignored.
+  void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss,
+                      Cycle now) override;
+  /// Stores and xchgs to annotated words; everything else is ignored.
+  void on_guest_access(CpuId cpu, uint32_t pc, Addr addr,
+                       cpu::GuestAccess kind, uint64_t value,
+                       Cycle now) override;
 
   /// Closes still-open spans (bursts, halts, held locks) at `end`.
   void finalize(Cycle end);

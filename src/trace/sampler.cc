@@ -22,19 +22,17 @@ void CounterSampler::push_window(Cycle end) {
   last_ = end;
 }
 
-void CounterSampler::on_boundary(Cycle cycle) {
-  SMT_DCHECK(cycle == next_);
-  push_window(cycle);
-  next_ = cycle + window_;
+void CounterSampler::on_window(Cycle cycle) {
+  while (next_ <= cycle) {
+    push_window(next_);
+    next_ += window_;
+  }
 }
 
 void CounterSampler::finalize(Cycle end) {
   // Catch up on full windows first (a machine driven by hand, without the
-  // core's run loop, never calls on_boundary), then flush the partial tail.
-  while (next_ <= end) {
-    push_window(next_);
-    next_ += window_;
-  }
+  // core's run loop, never raises on_window), then flush the partial tail.
+  on_window(end);
   if (end > last_) push_window(end);
   // next_ stays on the regular grid: if the machine keeps running, the
   // following window is the (shorter) remainder [end, next_).

@@ -6,11 +6,12 @@
 // of the paper's end-of-run counter readings, so phase-local effects
 // (barrier episodes, prefetch bursts, halt/wake latencies) become visible.
 //
-// The core drives it: cpu::Core calls on_boundary(b) the moment simulated
-// time reaches boundary b with every cycle < b fully accounted. During
-// event-skip fast-forward the core splits its bulk counter accumulation at
-// sampler boundaries, so each window's delta is bit-identical to what
-// single-cycle stepping produces (regression-tested in trace_test).
+// The core drives it through the observer bus's window event: cpu::Core
+// raises on_window(b) the moment simulated time reaches boundary b with
+// every cycle < b fully accounted. During event-skip fast-forward the core
+// splits its bulk counter accumulation at window boundaries, so each
+// window's delta is bit-identical to what single-cycle stepping produces
+// (regression-tested in trace_test).
 //
 // The sampler only ever *reads* the counters; attaching one can never
 // perturb a measurement.
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "cpu/observer.h"
 #include "perfmon/counters.h"
 
 namespace smt::trace {
@@ -30,7 +32,7 @@ struct CounterWindow {
   perfmon::Snapshot delta;
 };
 
-class CounterSampler {
+class CounterSampler final : public cpu::Observer {
  public:
   /// Attaches to `ctr` at cycle `start` (the current counter values become
   /// the baseline of the first window).
@@ -39,13 +41,15 @@ class CounterSampler {
 
   Cycle window_cycles() const { return window_; }
 
-  /// The next cycle boundary at which the core must call on_boundary()
-  /// (strictly greater than the last sampled/flushed cycle).
-  Cycle next_boundary() const { return next_; }
+  uint32_t interests() const override { return kWindow; }
 
-  /// Closes the window ending at `cycle` (== next_boundary()); every cycle
-  /// < `cycle` must already be accounted in the counters.
-  void on_boundary(Cycle cycle);
+  /// The next cycle boundary at which the core must call on_window()
+  /// (strictly greater than the last sampled/flushed cycle).
+  Cycle next_window() const override { return next_; }
+
+  /// Closes every window ending at or before `cycle`; every cycle <
+  /// `cycle` must already be accounted in the counters.
+  void on_window(Cycle cycle) override;
 
   /// Flushes the final partial window [last, end); safe to call repeatedly
   /// with the same `end` (subsequent calls are no-ops). Sampling may

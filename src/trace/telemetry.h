@@ -7,11 +7,11 @@
 // A Machine owns at most one Telemetry, created either explicitly via
 // Machine::enable_telemetry() or implicitly when the process-global
 // default (set_global_telemetry, wired to SMT_BENCH_TRACE_DIR by
-// bench/bench_util.h) is enabled. Disabled telemetry costs nothing: the
-// core holds null pointers and every hook is a branch on them. Enabled
-// telemetry never perturbs a measurement: both instruments are read-only
-// observers of the counters and the simulation state (asserted
-// bit-for-bit in trace_test).
+// bench/bench_util.h) is enabled. Both instruments are cpu::Observers on
+// the core's observer bus: disabled telemetry attaches nothing, so every
+// hook site is one mask test, and enabled telemetry never perturbs a
+// measurement — both only read the counters and the simulation state
+// (asserted bit-for-bit in trace_test).
 #pragma once
 
 #include <memory>

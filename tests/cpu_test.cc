@@ -597,15 +597,14 @@ TEST(SyncDeath, LostWakeupIsCaughtByTheRuntime) {
 }
 
 // ---------------------------------------------------------------------------
-// run_until_any_done
+// try_run with StopWhen::kAnyDone
 // ---------------------------------------------------------------------------
 
 TEST(Runner, RunUntilAnyDoneReturnsTheFasterThread) {
   Machine m;
   m.load_program(kC0, fadd_chain(6, 200));
   m.load_program(kC1, fadd_chain(6, 20000));
-  const CpuId first = m.run_until_any_done();
-  EXPECT_EQ(first, kC0);
+  ASSERT_TRUE(m.try_run(cpu::kDefaultMaxCycles, cpu::StopWhen::kAnyDone).ok());
   EXPECT_TRUE(m.core().done(kC0));
   EXPECT_FALSE(m.core().done(kC1));
 }
@@ -694,7 +693,7 @@ TEST(IdivPort, CoScheduledPipelinedDivideStreamsShareTheFpPort) {
   Machine m{cfg};
   m.load_program(kC0, idiv_independent(1200));
   m.load_program(kC1, fdiv_independent(1200));
-  m.run_until_any_done();
+  ASSERT_TRUE(m.try_run(cpu::kDefaultMaxCycles, cpu::StopWhen::kAnyDone).ok());
   EXPECT_GT(cpi(m, kC0), 1.6);
   EXPECT_GT(cpi(m, kC1), 1.6);
 }
@@ -707,7 +706,7 @@ TEST(IdivPort, CoScheduledUnpipelinedDividersBarelyInterfere) {
   Machine m;
   m.load_program(kC0, idiv_chain(6, 200));
   m.load_program(kC1, fdiv_chain(6, 200));
-  m.run_until_any_done();
+  ASSERT_TRUE(m.try_run(cpu::kDefaultMaxCycles, cpu::StopWhen::kAnyDone).ok());
   EXPECT_NEAR(cpi(m, kC0), static_cast<double>(m.config().core.lat_idiv),
               4.0);
   EXPECT_NEAR(cpi(m, kC1), static_cast<double>(m.config().core.lat_fdiv),

@@ -41,7 +41,7 @@ TEST(MixProfiler, CountsMatchPerfCounters) {
   MatMulWorkload w(p);
   core::Machine m{};
   MixProfiler prof;
-  m.core().set_retire_observer(&prof);
+  m.core().attach(&prof);
   w.setup(m);
   m.load_program(CpuId::kCpu0, w.programs()[0]);
   m.run();
@@ -65,7 +65,7 @@ TEST(MixProfiler, MmHasTheMaskedLayoutSignature) {
   MatMulWorkload w(p);
   core::Machine m{};
   MixProfiler prof;
-  m.core().set_retire_observer(&prof);
+  m.core().attach(&prof);
   w.setup(m);
   m.load_program(CpuId::kCpu0, w.programs()[0]);
   m.run();
@@ -94,7 +94,7 @@ TEST(MixProfiler, SprPrefetcherHasNoFpArithmetic) {
   MatMulWorkload w(p);
   core::Machine m{};
   MixProfiler prof;
-  m.core().set_retire_observer(&prof);
+  m.core().attach(&prof);
   w.setup(m);
   auto progs = w.programs();
   m.load_program(CpuId::kCpu0, progs[0]);
@@ -111,7 +111,7 @@ TEST(PcProfiler, PerPcCountsSumToMixProfilerAndCounters) {
   // SPR matmul, grouping each context's per-PC retired-instruction counts
   // by the PC's execution subunit reproduces the MixProfiler totals
   // exactly, and the per-PC retired-uop counts sum to kUopsRetired. Both
-  // observers ride the same run (separate observer slots).
+  // observers ride the same run on the core's observer bus.
   MatMulParams p;
   p.n = 16;
   p.tile = 4;
@@ -120,8 +120,8 @@ TEST(PcProfiler, PerPcCountsSumToMixProfilerAndCounters) {
   core::Machine m{};
   MixProfiler mix;
   PcProfiler pcs;
-  m.core().set_retire_observer(&mix);
-  m.core().set_pipeline_observer(&pcs);
+  m.core().attach(&mix);
+  m.core().attach(&pcs);
   w.setup(m);
   auto progs = w.programs();
   m.load_program(CpuId::kCpu0, progs[0]);
@@ -155,7 +155,7 @@ TEST(MixProfiler, ResetClearsState) {
   MixProfiler prof;
   cpu::DynUop u;
   u.unit = isa::UnitClass::kFpAdd;
-  prof.on_retire(CpuId::kCpu0, u);
+  prof.on_retire(CpuId::kCpu0, u, 1, 0);
   EXPECT_EQ(prof.total(CpuId::kCpu0), 1u);
   prof.reset();
   EXPECT_EQ(prof.total(CpuId::kCpu0), 0u);

@@ -41,8 +41,8 @@ constexpr Addr kSync = 0x8000;
 
 TEST(RaceDetectorUnit, UnorderedWriteReadPairIsARace) {
   RaceDetector det;
-  det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 7);
-  det.on_guest_access(CpuId::kCpu1, 2, kData, GuestAccess::kLoad, 7);
+  det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 7, 0);
+  det.on_guest_access(CpuId::kCpu1, 2, kData, GuestAccess::kLoad, 7, 0);
   EXPECT_FALSE(det.clean());
   ASSERT_EQ(det.races().size(), 1u);
   EXPECT_EQ(det.races()[0].addr, kData);
@@ -53,16 +53,16 @@ TEST(RaceDetectorUnit, UnorderedWriteReadPairIsARace) {
 
 TEST(RaceDetectorUnit, ConcurrentReadsDoNotRace) {
   RaceDetector det;
-  det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kLoad, 0);
-  det.on_guest_access(CpuId::kCpu1, 2, kData, GuestAccess::kLoad, 0);
+  det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kLoad, 0, 0);
+  det.on_guest_access(CpuId::kCpu1, 2, kData, GuestAccess::kLoad, 0, 0);
   EXPECT_TRUE(det.clean());
 }
 
 TEST(RaceDetectorUnit, SameContextAccessesNeverRace) {
   RaceDetector det;
-  det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 1);
-  det.on_guest_access(CpuId::kCpu0, 2, kData, GuestAccess::kStore, 2);
-  det.on_guest_access(CpuId::kCpu0, 3, kData, GuestAccess::kLoad, 2);
+  det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 1, 0);
+  det.on_guest_access(CpuId::kCpu0, 2, kData, GuestAccess::kStore, 2, 0);
+  det.on_guest_access(CpuId::kCpu0, 3, kData, GuestAccess::kLoad, 2, 0);
   EXPECT_TRUE(det.clean());
 }
 
@@ -70,48 +70,48 @@ TEST(RaceDetectorUnit, SyncWordReleaseAcquireOrdersTheHandoff) {
   RaceDetector det;
   det.add_sync_word(kSync);
   // cpu0: write payload, then release via the sync word.
-  det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 42);
-  det.on_guest_access(CpuId::kCpu0, 2, kSync, GuestAccess::kStore, 1);
+  det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 42, 0);
+  det.on_guest_access(CpuId::kCpu0, 2, kSync, GuestAccess::kStore, 1, 0);
   // cpu1: acquire via the sync word, then read the payload.
-  det.on_guest_access(CpuId::kCpu1, 3, kSync, GuestAccess::kLoad, 1);
-  det.on_guest_access(CpuId::kCpu1, 4, kData, GuestAccess::kLoad, 42);
+  det.on_guest_access(CpuId::kCpu1, 3, kSync, GuestAccess::kLoad, 1, 0);
+  det.on_guest_access(CpuId::kCpu1, 4, kData, GuestAccess::kLoad, 42, 0);
   EXPECT_TRUE(det.clean());
 }
 
 TEST(RaceDetectorUnit, AccessesToTheSyncWordItselfNeverRace) {
   RaceDetector det;
   det.add_sync_word(kSync);
-  det.on_guest_access(CpuId::kCpu0, 1, kSync, GuestAccess::kStore, 1);
-  det.on_guest_access(CpuId::kCpu1, 2, kSync, GuestAccess::kXchg, 0);
-  det.on_guest_access(CpuId::kCpu1, 3, kSync, GuestAccess::kLoad, 1);
+  det.on_guest_access(CpuId::kCpu0, 1, kSync, GuestAccess::kStore, 1, 0);
+  det.on_guest_access(CpuId::kCpu1, 2, kSync, GuestAccess::kXchg, 0, 0);
+  det.on_guest_access(CpuId::kCpu1, 3, kSync, GuestAccess::kLoad, 1, 0);
   EXPECT_TRUE(det.clean());
 }
 
 TEST(RaceDetectorUnit, MissingAcquireStillRaces) {
   RaceDetector det;
   det.add_sync_word(kSync);
-  det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 42);
-  det.on_guest_access(CpuId::kCpu0, 2, kSync, GuestAccess::kStore, 1);
+  det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 42, 0);
+  det.on_guest_access(CpuId::kCpu0, 2, kSync, GuestAccess::kStore, 1, 0);
   // cpu1 reads the payload without ever touching the sync word.
-  det.on_guest_access(CpuId::kCpu1, 3, kData, GuestAccess::kLoad, 42);
+  det.on_guest_access(CpuId::kCpu1, 3, kData, GuestAccess::kLoad, 42, 0);
   EXPECT_FALSE(det.clean());
 }
 
 TEST(RaceDetectorUnit, IpiSendToWakeIsAHappensBeforeEdge) {
   {
     RaceDetector det;
-    det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 5);
-    det.on_ipi_send(CpuId::kCpu0);
-    det.on_ipi_wake(CpuId::kCpu1);
-    det.on_guest_access(CpuId::kCpu1, 2, kData, GuestAccess::kLoad, 5);
+    det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 5, 0);
+    det.on_ipi_send(CpuId::kCpu0, 0);
+    det.on_ipi_wake(CpuId::kCpu1, 0);
+    det.on_guest_access(CpuId::kCpu1, 2, kData, GuestAccess::kLoad, 5, 0);
     EXPECT_TRUE(det.clean());
   }
   {
     // Without the wake-side join the same pair races.
     RaceDetector det;
-    det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 5);
-    det.on_ipi_send(CpuId::kCpu0);
-    det.on_guest_access(CpuId::kCpu1, 2, kData, GuestAccess::kLoad, 5);
+    det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, 5, 0);
+    det.on_ipi_send(CpuId::kCpu0, 0);
+    det.on_guest_access(CpuId::kCpu1, 2, kData, GuestAccess::kLoad, 5, 0);
     EXPECT_FALSE(det.clean());
   }
 }
@@ -119,8 +119,8 @@ TEST(RaceDetectorUnit, IpiSendToWakeIsAHappensBeforeEdge) {
 TEST(RaceDetectorUnit, DuplicatePairsDedupButStillCount) {
   RaceDetector det;
   for (int i = 0; i < 5; ++i) {
-    det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, i);
-    det.on_guest_access(CpuId::kCpu1, 2, kData, GuestAccess::kLoad, i);
+    det.on_guest_access(CpuId::kCpu0, 1, kData, GuestAccess::kStore, i, 0);
+    det.on_guest_access(CpuId::kCpu1, 2, kData, GuestAccess::kLoad, i, 0);
   }
   // Two distinct pair shapes (store-then-load across iterations, plus
   // read-then-store at the loop seam) — repeats only bump the total.
@@ -133,16 +133,16 @@ TEST(RaceDetectorUnit, ExtentCheckRequiresCompleteness) {
   {
     RaceDetector det;
     det.add_extent(kData, 64);
-    det.on_guest_access(CpuId::kCpu0, 1, 0x9000, GuestAccess::kStore, 0);
+    det.on_guest_access(CpuId::kCpu0, 1, 0x9000, GuestAccess::kStore, 0, 0);
     EXPECT_TRUE(det.clean());  // incomplete extents: check disabled
   }
   {
     RaceDetector det;
     det.add_extent(kData, 64);
     det.set_extents_complete(true);
-    det.on_guest_access(CpuId::kCpu0, 1, kData + 56, GuestAccess::kStore, 0);
+    det.on_guest_access(CpuId::kCpu0, 1, kData + 56, GuestAccess::kStore, 0, 0);
     EXPECT_TRUE(det.clean());  // last in-bounds word
-    det.on_guest_access(CpuId::kCpu0, 2, 0x9000, GuestAccess::kStore, 0);
+    det.on_guest_access(CpuId::kCpu0, 2, 0x9000, GuestAccess::kStore, 0, 0);
     EXPECT_FALSE(det.clean());
     ASSERT_EQ(det.extent_violations().size(), 1u);
     EXPECT_EQ(det.extent_violations()[0].addr, 0x9000u);

@@ -4,6 +4,8 @@
 // under event-skip fast-forward.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -11,9 +13,12 @@
 #include "core/machine.h"
 #include "core/run_report.h"
 #include "core/runner.h"
+#include "cpu/observer.h"
+#include "isa/asm_builder.h"
 #include "kernels/matmul.h"
 #include "perfmon/counters.h"
 #include "perfmon/events.h"
+#include "profile/mix_profiler.h"
 #include "trace/recorder.h"
 #include "trace/sampler.h"
 #include "trace/telemetry.h"
@@ -27,6 +32,7 @@ using kernels::MatMulParams;
 using kernels::MatMulWorkload;
 using kernels::MmMode;
 using perfmon::Event;
+using cpu::GuestAccess;
 using trace::CounterSampler;
 using trace::TelemetryConfig;
 using trace::TraceEvent;
@@ -85,13 +91,13 @@ int count_kind(const std::vector<TraceEvent>& evs, TraceKind k) {
 TEST(CounterSampler, BoundariesCutExactWindows) {
   perfmon::PerfCounters ctr;
   CounterSampler s(ctr, /*window=*/100);
-  EXPECT_EQ(s.next_boundary(), 100u);
+  EXPECT_EQ(s.next_window(), 100u);
 
   ctr.add(kC0, Event::kInstrRetired, 7);
-  s.on_boundary(100);
+  s.on_window(100);
   ctr.add(kC0, Event::kInstrRetired, 5);
   ctr.add(kC1, Event::kL2ReadMisses, 2);
-  s.on_boundary(200);
+  s.on_window(200);
 
   ASSERT_EQ(s.windows().size(), 2u);
   EXPECT_EQ(s.windows()[0].begin, 0u);
@@ -106,7 +112,7 @@ TEST(CounterSampler, BoundariesCutExactWindows) {
 TEST(CounterSampler, FinalizeFlushesPartialTail) {
   perfmon::PerfCounters ctr;
   CounterSampler s(ctr, 100);
-  s.on_boundary(100);
+  s.on_window(100);
   ctr.add(kC0, Event::kUopsRetired, 3);
   s.finalize(150);
   ASSERT_EQ(s.windows().size(), 2u);
@@ -119,7 +125,7 @@ TEST(CounterSampler, FinalizeFlushesPartialTail) {
 }
 
 TEST(CounterSampler, FinalizeCatchesUpMissedBoundaries) {
-  // A hand-driven machine may never call on_boundary; finalize still
+  // A hand-driven machine may never raise on_window; finalize still
   // produces the dense window sequence.
   perfmon::PerfCounters ctr;
   CounterSampler s(ctr, 100);
@@ -159,9 +165,11 @@ TEST(TraceRecorder, PairsLockAcquireAndRelease) {
   EXPECT_TRUE(rec.watches(lock));
   EXPECT_FALSE(rec.watches(lock + 8));
 
-  rec.on_xchg(kC1, lock, /*loaded=*/1, 10);  // contended attempt: not held
-  rec.on_xchg(kC1, lock, /*loaded=*/0, 20);  // acquire
-  rec.on_store(kC1, lock, /*value=*/0, 50);  // release
+  // A contended attempt (xchg reads 1: not held), the acquire (reads 0),
+  // and the release (stores 0).
+  rec.on_guest_access(kC1, 0, lock, GuestAccess::kXchg, /*value=*/1, 10);
+  rec.on_guest_access(kC1, 0, lock, GuestAccess::kXchg, /*value=*/0, 20);
+  rec.on_guest_access(kC1, 0, lock, GuestAccess::kStore, /*value=*/0, 50);
   const auto evs = rec.events();
   ASSERT_EQ(count_kind(evs, TraceKind::kLockHeld), 1);
   for (const TraceEvent& e : evs) {
@@ -177,7 +185,7 @@ TEST(TraceRecorder, FinalizeClosesHeldLock) {
   TraceRecorder rec(64, 0);
   const Addr lock = 0x2000;
   rec.annotate_lock(lock, "l");
-  rec.on_xchg(kC0, lock, 0, 5);
+  rec.on_guest_access(kC0, 0, lock, GuestAccess::kXchg, 0, 5);
   rec.finalize(100);
   const auto evs = rec.events();
   ASSERT_EQ(count_kind(evs, TraceKind::kLockHeld), 1);
@@ -191,8 +199,8 @@ TEST(TraceRecorder, PairsBarrierEpisodes) {
   const int ann = rec.annotate_barrier(f0, f1, "b", /*spr=*/true);
 
   // Episode 1: cpu0 arrives first (stores episode counter 1), cpu1 later.
-  rec.on_store(kC0, f0, 1, 10);
-  rec.on_store(kC1, f1, 1, 40);
+  rec.on_guest_access(kC0, 0, f0, GuestAccess::kStore, 1, 10);
+  rec.on_guest_access(kC1, 0, f1, GuestAccess::kStore, 1, 40);
   const auto evs = rec.events();
   ASSERT_EQ(count_kind(evs, TraceKind::kBarrierEpisode), 1);
   ASSERT_EQ(count_kind(evs, TraceKind::kBarrierWait), 1);
@@ -214,10 +222,10 @@ TEST(TraceRecorder, PairsBarrierEpisodes) {
 
 TEST(TraceRecorder, GroupsL2MissBursts) {
   TraceRecorder rec(64, /*l2_burst_gap=*/50);
-  rec.on_l2_miss(kC0, 100);
-  rec.on_l2_miss(kC0, 120);
-  rec.on_l2_miss(kC0, 140);
-  rec.on_l2_miss(kC0, 500);  // beyond the gap: new burst
+  rec.on_demand_miss(kC0, 0, /*l2_miss=*/true, 100);
+  rec.on_demand_miss(kC0, 0, true, 120);
+  rec.on_demand_miss(kC0, 0, true, 140);
+  rec.on_demand_miss(kC0, 0, true, 500);  // beyond the gap: new burst
   rec.finalize(600);
   const auto evs = rec.events();
   ASSERT_EQ(count_kind(evs, TraceKind::kL2MissBurst), 2);
@@ -429,6 +437,249 @@ TEST(Telemetry, TracedReportUsesSchema2WithTimeseries) {
   ASSERT_TRUE(doc1.has_value());
   EXPECT_EQ(doc1->find("schema")->string, "smt-run-report/1");
   EXPECT_EQ(doc1->find("timeseries"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Observer bus: fan-out, interest masks and program replay
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kEveryEvent = (1u << cpu::Observer::kNumInterests) - 1;
+
+/// Folds every event it is offered into a running FNV-1a digest plus a
+/// per-event count, so two runs compare event for event. It keeps its own
+/// window grid (every 1000 cycles) beside the sampler's.
+class EventLog final : public cpu::Observer {
+ public:
+  explicit EventLog(uint32_t mask = kEveryEvent) : mask_(mask) {}
+
+  uint32_t interests() const override { return mask_; }
+  void on_program(CpuId cpu, const isa::Program& prog) override {
+    log(kProgram, idx(cpu), prog.size());
+  }
+  void on_fetch(CpuId cpu, const cpu::DynUop& u, Cycle now) override {
+    log(kFetch, idx(cpu), u.uid, u.pc, now);
+  }
+  void on_dispatch(CpuId cpu, const cpu::DynUop& u, Cycle now) override {
+    log(kDispatch, idx(cpu), u.uid, now);
+  }
+  void on_issue(CpuId cpu, const cpu::DynUop& u, int port, Cycle now,
+                Cycle done) override {
+    log(kIssue, idx(cpu), u.uid, port, now, done);
+  }
+  void on_retire(CpuId cpu, const cpu::DynUop& u, int uops,
+                 Cycle now) override {
+    log(kRetire, idx(cpu), u.uid, uops, now);
+  }
+  void on_stall(CpuId cpu, cpu::BlockReason reason, uint32_t pc, bool sibling,
+                int port, Cycle cycles) override {
+    log(kStall, idx(cpu), reason, pc, sibling, port, cycles);
+  }
+  void on_demand_miss(CpuId cpu, uint32_t pc, bool l2_miss,
+                      Cycle now) override {
+    log(kDemandMiss, idx(cpu), pc, l2_miss, now);
+  }
+  void on_guest_access(CpuId cpu, uint32_t pc, Addr addr, GuestAccess kind,
+                       uint64_t value, Cycle now) override {
+    log(kGuestAccess, idx(cpu), pc, addr, kind, value, now);
+  }
+  void on_halt_enter(CpuId cpu, Cycle now) override {
+    log(kHaltEnter, idx(cpu), now);
+  }
+  void on_halt_exit(CpuId cpu, Cycle now) override {
+    log(kHaltExit, idx(cpu), now);
+  }
+  void on_ipi_send(CpuId cpu, Cycle now) override {
+    log(kIpiSend, idx(cpu), now);
+  }
+  void on_ipi_wake(CpuId cpu, Cycle now) override {
+    log(kIpiWake, idx(cpu), now);
+  }
+  Cycle next_window() const override { return next_window_; }
+  void on_window(Cycle boundary) override {
+    log(kWindow, boundary);
+    next_window_ = boundary + 1000;
+  }
+
+  uint64_t digest() const { return digest_; }
+  uint64_t count(Interest e) const { return counts_[std::countr_zero(+e)]; }
+  uint64_t calls() const {
+    uint64_t n = 0;
+    for (const uint64_t c : counts_) n += c;
+    return n;
+  }
+
+ private:
+  template <typename... Fields>
+  void log(Interest e, Fields... fields) {
+    ++counts_[std::countr_zero(+e)];
+    mix(e);
+    (mix(static_cast<uint64_t>(fields)), ...);
+  }
+  void mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest_ = (digest_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+
+  uint32_t mask_;
+  Cycle next_window_ = 1000;
+  uint64_t digest_ = 0xcbf29ce484222325ull;
+  std::array<uint64_t, cpu::Observer::kNumInterests> counts_{};
+};
+
+struct LoggedRun {
+  EventLog log;
+  perfmon::Snapshot events;
+  Cycle cycles = 0;
+};
+
+/// The halt-barrier SPR matmul with an EventLog attached — alone, or after
+/// every other observer (telemetry, PC and interference profilers, pipeline
+/// trace, race detector, flight recorder, instruction-mix profiler).
+void run_logged(bool beside_all, bool event_skip, LoggedRun& out) {
+  TelemetryConfig tc;
+  if (beside_all) {
+    tc = small_windows();
+    tc.pc_profile = true;
+    tc.interference = true;
+    tc.pipeview = true;
+  }
+  ScopedGlobalTelemetry g(tc);
+  MatMulParams p;
+  p.n = 16;
+  p.tile = 4;
+  p.mode = MmMode::kTlpPfetch;
+  p.halt_barriers = true;
+  MatMulWorkload w(p);
+  MachineConfig cfg;
+  cfg.core.event_skip = event_skip;
+  core::Machine m(cfg);
+  profile::MixProfiler mix;
+  if (beside_all) {
+    m.enable_race_detector();
+    m.enable_flight_recorder();
+    m.core().attach(&mix);
+  }
+  m.core().attach(&out.log);
+  w.setup(m);
+  std::vector<isa::Program> progs = w.programs();
+  for (size_t i = 0; i < progs.size(); ++i) {
+    m.load_program(static_cast<CpuId>(i), std::move(progs[i]));
+  }
+  m.run();
+  EXPECT_TRUE(w.verify(m));
+  out.events = m.counters().snapshot();
+  out.cycles = m.cycles();
+}
+
+TEST(ObserverBus, EventSequenceIdenticalAloneAndBesideEveryObserver) {
+  for (const bool event_skip : {false, true}) {
+    LoggedRun alone, beside;
+    run_logged(false, event_skip, alone);
+    run_logged(true, event_skip, beside);
+    EXPECT_EQ(alone.cycles, beside.cycles);
+    for (int c = 0; c < kNumLogicalCpus; ++c) {
+      for (int e = 0; e < perfmon::kNumEventValues; ++e) {
+        const CpuId cpu = static_cast<CpuId>(c);
+        const Event ev = static_cast<Event>(e);
+        EXPECT_EQ(alone.events.get(cpu, ev), beside.events.get(cpu, ev))
+            << "cpu" << c << " " << perfmon::name(ev);
+      }
+    }
+    for (int e = 0; e < cpu::Observer::kNumInterests; ++e) {
+      const auto ev = static_cast<cpu::Observer::Interest>(1u << e);
+      // The run must exercise every event, or the comparison shows little.
+      EXPECT_GT(alone.log.count(ev), 0u) << "event bit " << e;
+      EXPECT_EQ(alone.log.count(ev), beside.log.count(ev))
+          << "event bit " << e << " event_skip=" << event_skip;
+    }
+    EXPECT_EQ(alone.log.digest(), beside.log.digest())
+        << "event_skip=" << event_skip;
+  }
+}
+
+/// Counts every call it receives, whatever its interest mask says.
+class Tripwire final : public cpu::Observer {
+ public:
+  uint32_t interests() const override { return 0; }
+  void on_program(CpuId, const isa::Program&) override { ++calls; }
+  void on_fetch(CpuId, const cpu::DynUop&, Cycle) override { ++calls; }
+  void on_dispatch(CpuId, const cpu::DynUop&, Cycle) override { ++calls; }
+  void on_issue(CpuId, const cpu::DynUop&, int, Cycle, Cycle) override {
+    ++calls;
+  }
+  void on_retire(CpuId, const cpu::DynUop&, int, Cycle) override { ++calls; }
+  void on_stall(CpuId, cpu::BlockReason, uint32_t, bool, int,
+                Cycle) override {
+    ++calls;
+  }
+  void on_demand_miss(CpuId, uint32_t, bool, Cycle) override { ++calls; }
+  void on_guest_access(CpuId, uint32_t, Addr, GuestAccess, uint64_t,
+                       Cycle) override {
+    ++calls;
+  }
+  void on_halt_enter(CpuId, Cycle) override { ++calls; }
+  void on_halt_exit(CpuId, Cycle) override { ++calls; }
+  void on_ipi_send(CpuId, Cycle) override { ++calls; }
+  void on_ipi_wake(CpuId, Cycle) override { ++calls; }
+  // Always "due": a core that consulted it would call on_window at once.
+  Cycle next_window() const override {
+    ++calls;
+    return 0;
+  }
+  void on_window(Cycle) override { ++calls; }
+
+  mutable uint64_t calls = 0;
+};
+
+TEST(ObserverBus, EmptyInterestMaskReceivesNoCall) {
+  for (const bool with_sibling : {false, true}) {
+    MatMulParams p;
+    p.n = 16;
+    p.tile = 4;
+    p.mode = MmMode::kTlpPfetch;
+    p.halt_barriers = true;
+    MatMulWorkload w(p);
+    core::Machine m;
+    Tripwire silent;
+    EventLog log;
+    m.core().attach(&silent);
+    // A second observer routes events through the tee.
+    if (with_sibling) m.core().attach(&log);
+    w.setup(m);
+    std::vector<isa::Program> progs = w.programs();
+    for (size_t i = 0; i < progs.size(); ++i) {
+      m.load_program(static_cast<CpuId>(i), std::move(progs[i]));
+    }
+    m.run();
+    EXPECT_TRUE(w.verify(m));
+    EXPECT_EQ(silent.calls, 0u) << "with_sibling=" << with_sibling;
+    if (with_sibling) {
+      EXPECT_GT(log.calls(), 0u);
+    }
+  }
+}
+
+TEST(ObserverBus, LateAttachReplaysProgramsForBothCpus) {
+  isa::AsmBuilder a("a");
+  a.exit();
+  isa::AsmBuilder b("b");
+  b.nop();
+  b.exit();
+  core::Machine m;
+  EventLog early(cpu::Observer::kProgram);
+  m.core().attach(&early);
+  m.load_program(kC0, a.take());
+  m.load_program(kC1, b.take());
+  EventLog late(cpu::Observer::kProgram);
+  m.core().attach(&late);  // after both load_program calls
+  EXPECT_EQ(late.count(cpu::Observer::kProgram), 2u);
+  // The early observer saw each program once, at load time, and the late
+  // attach replayed to the newcomer only.
+  EXPECT_EQ(early.count(cpu::Observer::kProgram), 2u);
+  EXPECT_EQ(early.digest(), late.digest());
+  m.run();
+  EXPECT_EQ(late.count(cpu::Observer::kProgram), 2u);
 }
 
 }  // namespace
